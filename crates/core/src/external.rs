@@ -702,11 +702,12 @@ impl ExternalSorter {
                     budget
                 };
                 let end = (start + step).min(n);
-                let morsel = input.slice(start, end);
-                let mut payload = RowBlock::with_capacity(Arc::clone(&self.layout), morsel.len());
-                payload.append_chunk(&morsel);
+                // Scatter and encode the morsel straight from the input,
+                // as the pipeline's run generation does: no sliced copy.
+                let mut payload = RowBlock::with_capacity(Arc::clone(&self.layout), end - start);
+                payload.append_chunk_range(input, start, end);
                 let mut keys = KeyBlock::new(&self.types, &self.order, |c| stats[c]);
-                keys.append_chunk(&morsel);
+                keys.append_chunk_range(input, start, end);
                 let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
                 let algo = keys.sort(|a, b| {
                     tie_cmp.compare(
@@ -1759,19 +1760,28 @@ mod tests {
 
     #[test]
     fn spill_files_are_cleaned_up() {
-        let dir = std::env::temp_dir();
-        let before: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .map(|e| {
-                        e.file_name()
-                            .to_string_lossy()
-                            .starts_with("rowsort-spill-")
-                    })
-                    .unwrap_or(false)
-            })
-            .count();
+        // A directory of its own: sibling tests spill into the shared
+        // temp dir concurrently, so counting files there races them.
+        let dir = std::env::temp_dir().join(format!(
+            "rowsort-test-{}-spill_files_are_cleaned_up",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spill_files = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .map(|e| {
+                            e.file_name()
+                                .to_string_lossy()
+                                .starts_with("rowsort-spill-")
+                        })
+                        .unwrap_or(false)
+                })
+                .count()
+        };
+        let before = spill_files();
         let chunk =
             DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(5_000, 8, 100))]).unwrap();
         let sorter = ExternalSorter::new(
@@ -1784,18 +1794,8 @@ mod tests {
             },
         );
         let _ = sorter.sort(&chunk).unwrap();
-        let after: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .map(|e| {
-                        e.file_name()
-                            .to_string_lossy()
-                            .starts_with("rowsort-spill-")
-                    })
-                    .unwrap_or(false)
-            })
-            .count();
+        let after = spill_files();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(after, before, "spill files removed after the sort");
     }
 
@@ -1821,11 +1821,10 @@ mod tests {
         let mut start = 0;
         while start < chunk.len() {
             let end = (start + budget).min(chunk.len());
-            let morsel = chunk.slice(start, end);
-            let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), morsel.len());
-            payload.append_chunk(&morsel);
+            let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), end - start);
+            payload.append_chunk_range(chunk, start, end);
             let mut keys = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
-            keys.append_chunk(&morsel);
+            keys.append_chunk_range(chunk, start, end);
             let tie_cmp = FusedRowComparator::new(&sorter.layout, &sorter.order);
             keys.sort(|a, b| {
                 tie_cmp.compare(

@@ -121,13 +121,7 @@ fn execute_inner(
     prof: &mut Option<Profiler>,
 ) -> Result<DataChunk> {
     let chunks = exec_stream(plan, catalog, options, prof)?;
-    let (_, types) = plan.schema(catalog)?;
-    let mut out = DataChunk::new(&types);
-    for c in &chunks {
-        out.append(c)
-            .map_err(|e| EngineError::Invalid(e.to_string()))?;
-    }
-    Ok(out)
+    materialize(chunks, plan, catalog)
 }
 
 /// Operator label for one node, matching [`LogicalPlan::explain`] lines.
@@ -309,15 +303,11 @@ fn exec_node(
         }
         LogicalPlan::Sort { input, order } => {
             // Pipeline breaker: materialize, sort via the configured
-            // system profile, re-emit as vectors.
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            let (_, types) = input.schema(catalog)?;
-            let mut all = DataChunk::new(&types);
-            for c in &chunks {
-                all.append(c)
-                    .map_err(|e| EngineError::Invalid(e.to_string()))?;
-            }
+            // system profile, re-emit as vectors. The materialized input
+            // is freed before the sorted output is re-split.
+            let all = materialize(exec_stream(input, catalog, options, prof)?, input, catalog)?;
             let (sorted, sort_profile) = sort_relation(&all, order, options)?;
+            drop(all);
             if let Some(p) = &sort_profile {
                 *detail = sort_detail(p);
             }
@@ -365,6 +355,7 @@ fn exec_node(
         LogicalPlan::WindowRowNumber { input, order } => {
             let all = materialize(exec_stream(input, catalog, options, prof)?, input, catalog)?;
             let (sorted, _) = sort_relation(&all, order, options)?;
+            drop(all);
             let numbers = Vector::from_i64s((1..=sorted.len() as i64).collect());
             let mut columns: Vec<Vector> = sorted.columns().to_vec();
             columns.push(numbers);
@@ -375,12 +366,13 @@ fn exec_node(
     }
 }
 
-/// Concatenate a chunk stream into one relation.
+/// Concatenate a chunk stream into one relation, freeing each chunk once
+/// it is appended.
 fn materialize(chunks: Vec<DataChunk>, plan: &LogicalPlan, catalog: &Catalog) -> Result<DataChunk> {
     let (_, types) = plan.schema(catalog)?;
     let mut all = DataChunk::new(&types);
-    for c in &chunks {
-        all.append(c)
+    for c in chunks {
+        all.append(&c)
             .map_err(|e| EngineError::Invalid(e.to_string()))?;
     }
     Ok(all)

@@ -14,12 +14,8 @@ use std::sync::Arc;
 /// sorting wins end to end.
 pub fn scatter(chunk: &DataChunk, layout: Arc<RowLayout>) -> RowBlock {
     let mut block = RowBlock::with_capacity(layout, chunk.len());
-    if chunk.len() <= VECTOR_SIZE {
-        block.append_chunk(chunk);
-    } else {
-        for part in chunk.split_into_vectors() {
-            block.append_chunk(&part);
-        }
+    for lo in (0..chunk.len()).step_by(VECTOR_SIZE) {
+        block.append_chunk_range(chunk, lo, (lo + VECTOR_SIZE).min(chunk.len()));
     }
     block
 }

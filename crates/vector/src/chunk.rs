@@ -118,20 +118,16 @@ impl DataChunk {
     }
 
     /// Split a large chunk into [`VECTOR_SIZE`]-row chunks (the last may be
-    /// shorter). A chunk already within the limit is returned as one piece.
+    /// shorter), each a typed [`DataChunk::slice`]: linear in the chunk's
+    /// size. A chunk already within the limit is returned as one piece.
     pub fn split_into_vectors(&self) -> Vec<DataChunk> {
         if self.len <= VECTOR_SIZE {
             return vec![self.clone()];
         }
-        let mut out = Vec::with_capacity(self.len.div_ceil(VECTOR_SIZE));
-        let mut start = 0;
-        while start < self.len {
-            let end = (start + VECTOR_SIZE).min(self.len);
-            let indices: Vec<usize> = (start..end).collect();
-            out.push(self.take(&indices));
-            start = end;
-        }
-        out
+        (0..self.len)
+            .step_by(VECTOR_SIZE)
+            .map(|start| self.slice(start, (start + VECTOR_SIZE).min(self.len)))
+            .collect()
     }
 
     /// Materialize every row as boxed values — the test-suite ground truth

@@ -53,6 +53,36 @@ impl StringVec {
         self.offsets.push(end);
     }
 
+    /// Append strings `start..end` of `other`: one copy of their bytes and
+    /// a rebase of their offsets, with no per-string UTF-8 check (the
+    /// bytes are whole strings of a valid column).
+    ///
+    /// # Panics
+    /// If `start..end` is not a range of `other`, or if total byte length
+    /// would exceed `u32::MAX`.
+    pub(crate) fn extend_range(&mut self, other: &StringVec, start: usize, end: usize) {
+        assert!(
+            start <= end && end <= other.len(),
+            "range {start}..{end} of {}",
+            other.len()
+        );
+        let (lo, hi) = (other.offsets[start], other.offsets[end]);
+        let base = self.bytes.len();
+        assert!(
+            u32::try_from(base + (hi - lo) as usize).is_ok(),
+            "string column exceeds 4 GiB"
+        );
+        self.bytes
+            .extend_from_slice(&other.bytes[lo as usize..hi as usize]);
+        // `base + (o - lo) ≤ base + (hi - lo)`, which fits in u32 (checked).
+        let shift = base as u32;
+        self.offsets.extend(
+            other.offsets[start + 1..=end]
+                .iter()
+                .map(|&o| o - lo + shift),
+        );
+    }
+
     /// The string at `idx`.
     ///
     /// # Panics

@@ -6,11 +6,40 @@
 /// no NULLs costs nothing. The mask lazily materializes 64-bit words on the
 /// first `set_invalid` call, mirroring how vectorized engines keep validity
 /// out of the hot path until NULLs actually appear.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Bits past `len` in the last word are always set, so appends only ever
+/// clear bits and whole words compare and count without masking. Range
+/// copies ([`Validity::extend_range`]) move 64 bits per step.
+///
+/// Equality is semantic: two masks are equal iff they cover the same number
+/// of rows and mark the same rows NULL, whether or not either materialized
+/// its words.
+#[derive(Debug, Clone, Default)]
 pub struct Validity {
     /// `None` ⇒ every row valid. `Some(words)` ⇒ bit i of word i/64 is row i.
     words: Option<Vec<u64>>,
     len: usize,
+}
+
+/// The low `n` bits set (`n ≤ 64`).
+fn low_mask(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// The 64 bits of `words` starting at bit `bit`; bits past the end read as
+/// set.
+fn load_bits(words: &[u64], bit: usize) -> u64 {
+    let (w, k) = (bit / 64, bit % 64);
+    let lo = words.get(w).copied().unwrap_or(u64::MAX);
+    if k == 0 {
+        return lo;
+    }
+    let hi = words.get(w + 1).copied().unwrap_or(u64::MAX);
+    (lo >> k) | (hi << (64 - k))
 }
 
 impl Validity {
@@ -21,11 +50,17 @@ impl Validity {
 
     /// An all-NULL mask covering `len` rows.
     pub fn new_invalid(len: usize) -> Validity {
-        let mut v = Validity::new_valid(len);
-        for i in 0..len {
-            v.set_invalid(i);
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        let mut at = 0;
+        while at < len {
+            let m = (len - at).min(64);
+            append_bits(&mut words, at, 0, m);
+            at += m;
         }
-        v
+        Validity {
+            words: Some(words),
+            len,
+        }
     }
 
     /// Number of rows covered.
@@ -38,12 +73,12 @@ impl Validity {
         self.len == 0
     }
 
-    /// `true` iff no row is NULL (fast path: no mask materialized, or all
-    /// bits set).
+    /// `true` iff no row is NULL. Free when no mask is materialized;
+    /// otherwise a scan of every word, so keep it out of per-chunk paths.
     pub fn all_valid(&self) -> bool {
         match &self.words {
             None => true,
-            Some(_) => self.count_invalid() == 0,
+            Some(words) => words.iter().all(|&w| w == u64::MAX),
         }
     }
 
@@ -98,19 +133,12 @@ impl Validity {
 
     /// Append one row with the given validity.
     pub fn push(&mut self, valid: bool) {
-        let idx = self.len;
-        self.len += 1;
-        if let Some(words) = &mut self.words {
-            if words.len() * 64 < self.len {
-                words.push(u64::MAX);
-            }
-            // New bit defaults to valid (word pushed as MAX); clear if needed.
-            if !valid {
-                words[idx / 64] &= !(1u64 << (idx % 64));
-            }
-        } else if !valid {
-            self.materialize();
-            self.set_invalid(idx);
+        if self.words.is_none() && valid {
+            self.len += 1;
+        } else {
+            let len = self.len;
+            append_bits(self.materialize(), len, valid as u64, 1);
+            self.len += 1;
         }
     }
 
@@ -118,23 +146,7 @@ impl Validity {
     pub fn count_invalid(&self) -> usize {
         match &self.words {
             None => 0,
-            Some(words) => {
-                let mut nulls = 0usize;
-                for (w, word) in words.iter().enumerate() {
-                    let bits_in_word = if (w + 1) * 64 <= self.len {
-                        64
-                    } else {
-                        self.len - w * 64
-                    };
-                    let mask = if bits_in_word == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << bits_in_word) - 1
-                    };
-                    nulls += (!word & mask).count_ones() as usize;
-                }
-                nulls
-            }
+            Some(words) => words.iter().map(|w| w.count_zeros() as usize).sum(),
         }
     }
 
@@ -143,32 +155,121 @@ impl Validity {
         self.len - self.count_invalid()
     }
 
-    /// Copy out the sub-mask covering rows `start..end`.
+    /// Copy out the sub-mask covering rows `start..end`. A range without
+    /// NULLs comes back in the lazy all-valid form.
     pub fn slice(&self, start: usize, end: usize) -> Validity {
+        let mut out = Validity::new_valid(0);
+        out.extend_range(self, start, end);
+        out
+    }
+
+    /// Append rows `start..end` of `other`, 64 bits per step. Appending a
+    /// range without NULLs to a lazy mask keeps it lazy; the work is
+    /// proportional to the range, never to the whole of either mask.
+    ///
+    /// # Panics
+    /// If `start..end` is not a row range of `other`.
+    pub fn extend_range(&mut self, other: &Validity, start: usize, end: usize) {
         assert!(
-            start <= end && end <= self.len,
-            "slice {start}..{end} of {}",
-            self.len
+            start <= end && end <= other.len,
+            "range {start}..{end} of {}",
+            other.len
         );
-        match &self.words {
-            None => Validity::new_valid(end - start),
-            Some(_) => {
-                let mut out = Validity::new_valid(0);
-                for i in start..end {
-                    out.push(self.is_valid(i));
+        let src = match &other.words {
+            Some(src) if self.words.is_some() || !range_all_valid(src, start, end) => src,
+            _ => return self.extend_valid(end - start),
+        };
+        let mut len = self.len;
+        let words = self.materialize();
+        let mut bit = start;
+        while bit < end {
+            let m = (end - bit).min(64);
+            append_bits(words, len, load_bits(src, bit), m);
+            (bit, len) = (bit + m, len + m);
+        }
+        self.len = len;
+    }
+
+    /// Gather the validity of `indices` (the mask half of a row gather).
+    /// Rows are looked up one by one only when a mask exists.
+    ///
+    /// # Panics
+    /// If any index is out of range.
+    pub(crate) fn take(&self, indices: &[usize]) -> Validity {
+        let mut out = Validity::new_valid(indices.len());
+        if self.words.is_some() {
+            for (dst, &src) in indices.iter().enumerate() {
+                if !self.is_valid(src) {
+                    out.set_invalid(dst);
                 }
-                out
+            }
+        }
+        out
+    }
+
+    /// Append `n` valid rows. The bits past `len` are already set, so only
+    /// whole new words are written.
+    fn extend_valid(&mut self, n: usize) {
+        self.len += n;
+        let need = self.len.div_ceil(64);
+        if let Some(words) = &mut self.words {
+            if words.len() < need {
+                words.resize(need, u64::MAX);
             }
         }
     }
 
     fn materialize(&mut self) -> &mut Vec<u64> {
-        if self.words.is_none() {
-            self.words = Some(vec![u64::MAX; self.len.div_ceil(64).max(1)]);
-        }
-        self.words.as_mut().unwrap()
+        let len = self.len;
+        self.words
+            .get_or_insert_with(|| vec![u64::MAX; len.div_ceil(64)])
     }
 }
+
+/// Append the low `m` bits of `bits` (`1 ≤ m ≤ 64`) to a mask of `len`
+/// rows: one masked write into the partial last word, plus one new word
+/// when the bits straddle a word boundary.
+fn append_bits(words: &mut Vec<u64>, len: usize, bits: u64, m: usize) {
+    debug_assert!((1..=64).contains(&m) && words.len() == len.div_ceil(64));
+    let (w, k) = (len / 64, len % 64);
+    // Keep every bit past the new length set.
+    let bits = bits | !low_mask(m);
+    if k == 0 {
+        words.push(bits);
+        return;
+    }
+    // Bits k.. of word `w` are set (past the old length), so an AND writes
+    // the new bits there and keeps bits ..k.
+    words[w] &= (bits << k) | low_mask(k);
+    if k + m > 64 {
+        words.push((bits >> (64 - k)) | !low_mask(k));
+    }
+}
+
+/// `true` iff rows `start..end` of `words` are all valid.
+fn range_all_valid(words: &[u64], start: usize, end: usize) -> bool {
+    let mut bit = start;
+    while bit < end {
+        let m = (end - bit).min(64);
+        if load_bits(words, bit) | !low_mask(m) != u64::MAX {
+            return false;
+        }
+        bit += m;
+    }
+    true
+}
+
+impl PartialEq for Validity {
+    fn eq(&self, other: &Validity) -> bool {
+        if self.len != other.len {
+            return false;
+        }
+        let word = |v: &Validity, i: usize| v.words.as_ref().map_or(u64::MAX, |w| w[i]);
+        (0..self.len.div_ceil(64)).all(|i| word(self, i) == word(other, i))
+    }
+}
+
+impl Eq for Validity {}
 
 #[cfg(test)]
 mod tests {
@@ -267,6 +368,32 @@ mod tests {
         assert!(!v.is_valid(2));
         v.set(2, true);
         assert!(v.is_valid(2));
+    }
+
+    #[test]
+    fn equality_ignores_representation() {
+        let mut v = Validity::new_valid(70);
+        v.set_invalid(3);
+        v.set_valid(3);
+        assert!(v.words.is_some(), "the mask materialized");
+        assert_eq!(v, Validity::new_valid(70));
+        assert_ne!(v, Validity::new_valid(71));
+        v.set_invalid(69);
+        assert_ne!(v, Validity::new_valid(70));
+        assert_ne!(Validity::new_valid(70), v);
+    }
+
+    #[test]
+    fn slice_without_nulls_stays_lazy() {
+        let mut v = Validity::new_valid(300);
+        v.set_invalid(10);
+        v.set_invalid(250);
+        let s = v.slice(11, 250);
+        assert!(s.words.is_none());
+        assert_eq!(s, Validity::new_valid(239));
+        let s = v.slice(9, 251);
+        assert_eq!(s.count_invalid(), 2);
+        assert!(!s.is_valid(1) && !s.is_valid(241));
     }
 
     #[test]

@@ -340,21 +340,14 @@ impl Vector {
             VectorData::Date(v) => take_fixed!(v, Date),
             VectorData::Timestamp(v) => take_fixed!(v, Timestamp),
             VectorData::Varchar(v) => {
-                let mut out = crate::strings::StringVec::with_capacity(indices.len(), 8);
+                let mut out = StringVec::with_capacity(indices.len(), 8);
                 for &i in indices {
-                    out.push(v.get(i));
+                    out.extend_range(v, i, i + 1);
                 }
                 VectorData::Varchar(out)
             }
         };
-        let mut validity = Validity::new_valid(indices.len());
-        if !self.validity.all_valid() {
-            for (dst, &src) in indices.iter().enumerate() {
-                if !self.validity.is_valid(src) {
-                    validity.set_invalid(dst);
-                }
-            }
-        }
+        let validity = self.validity.take(indices);
         Vector { data, validity }
     }
 
@@ -381,22 +374,11 @@ impl Vector {
             (VectorData::Float64(a), VectorData::Float64(b)) => a.extend_from_slice(b),
             (VectorData::Date(a), VectorData::Date(b)) => a.extend_from_slice(b),
             (VectorData::Timestamp(a), VectorData::Timestamp(b)) => a.extend_from_slice(b),
-            (VectorData::Varchar(a), VectorData::Varchar(b)) => {
-                for s in b.iter() {
-                    a.push(s);
-                }
-            }
+            (VectorData::Varchar(a), VectorData::Varchar(b)) => a.extend_range(b, 0, b.len()),
             _ => unreachable!("types checked above"),
         }
-        if other.validity.all_valid() {
-            for _ in 0..other.len() {
-                self.validity.push(true);
-            }
-        } else {
-            for i in 0..other.len() {
-                self.validity.push(other.validity.is_valid(i));
-            }
-        }
+        self.validity
+            .extend_range(&other.validity, 0, other.validity.len());
         Ok(())
     }
 
@@ -405,8 +387,9 @@ impl Vector {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Copy out rows `start..end` as a new vector — a typed `memcpy`, not a
-    /// per-value loop, so morsel splitting stays off the boxed-value path.
+    /// Copy out rows `start..end` as a new vector — a typed `memcpy`, one
+    /// byte copy for strings and a word-at-a-time mask copy, so morsel and
+    /// vector splitting stay off the boxed-value path.
     pub fn slice(&self, start: usize, end: usize) -> Vector {
         let validity = self.validity.slice(start, end);
         let data = match &self.data {
@@ -424,10 +407,8 @@ impl Vector {
             VectorData::Date(v) => VectorData::Date(v[start..end].to_vec()),
             VectorData::Timestamp(v) => VectorData::Timestamp(v[start..end].to_vec()),
             VectorData::Varchar(v) => {
-                let mut out = crate::strings::StringVec::with_capacity(end - start, 8);
-                for i in start..end {
-                    out.push(v.get(i));
-                }
+                let mut out = StringVec::new();
+                out.extend_range(v, start, end);
                 VectorData::Varchar(out)
             }
         };
