@@ -17,6 +17,9 @@ pub struct LoserTree {
     /// `tree[1..cap]`: losers of each internal match. Leaf for input `i`
     /// is virtual node `cap + i`. Slot 0 is unused.
     tree: Vec<usize>,
+    /// Rebuild scratch (the bottom-up tournament bracket), kept so
+    /// [`LoserTree::rebuild`] allocates nothing once grown.
+    round: Vec<usize>,
     /// The input that won the whole tournament (smallest current head).
     winner: usize,
     cap: usize,
@@ -29,36 +32,61 @@ impl LoserTree {
     /// `is_exhausted(i)` reports whether input `i < k` is empty;
     /// `leaf_less(a, b)` compares the current heads of two non-exhausted
     /// inputs.
-    pub fn new<E, L>(k: usize, mut is_exhausted: E, mut leaf_less: L) -> LoserTree
+    pub fn new<E, L>(k: usize, is_exhausted: E, leaf_less: L) -> LoserTree
+    where
+        E: FnMut(usize) -> bool,
+        L: FnMut(usize, usize) -> bool,
+    {
+        let mut t = Self::empty();
+        t.rebuild(k, is_exhausted, leaf_less);
+        t
+    }
+
+    /// A tree with no inputs; call [`LoserTree::rebuild`] before use.
+    /// Lets callers that merge repeatedly keep one tree and re-seed it
+    /// without reallocating.
+    pub fn empty() -> LoserTree {
+        LoserTree {
+            tree: Vec::new(),
+            round: Vec::new(),
+            winner: 0,
+            cap: 1,
+            k: 0,
+        }
+    }
+
+    /// Re-seed the tree for `k` inputs with a full bottom-up tournament,
+    /// reusing the existing buffers (no allocation once they have grown
+    /// to `k.next_power_of_two()`).
+    pub fn rebuild<E, L>(&mut self, k: usize, mut is_exhausted: E, mut leaf_less: L)
     where
         E: FnMut(usize) -> bool,
         L: FnMut(usize, usize) -> bool,
     {
         assert!(k > 0, "loser tree needs at least one input");
         let cap = k.next_power_of_two();
-        let mut round = vec![0usize; 2 * cap];
-        for i in 0..cap {
-            round[cap + i] = i;
+        self.cap = cap;
+        self.k = k;
+        self.round.clear();
+        self.round.resize(2 * cap, 0);
+        for (i, slot) in self.round[cap..].iter_mut().enumerate() {
+            *slot = i;
         }
-        let mut tree = vec![0usize; cap];
-        let mut beats = |a: usize, b: usize| -> bool {
-            Self::beats_impl(a, b, k, &mut is_exhausted, &mut leaf_less)
-        };
+        self.tree.clear();
+        self.tree.resize(cap, 0);
         for node in (1..cap).rev() {
-            let (a, b) = (round[2 * node], round[2 * node + 1]);
-            let (w, l) = if beats(a, b) { (a, b) } else { (b, a) };
-            round[node] = w;
-            tree[node] = l;
+            let (a, b) = (self.round[2 * node], self.round[2 * node + 1]);
+            let (w, l) = if Self::beats_impl(a, b, k, &mut is_exhausted, &mut leaf_less) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            self.round[node] = w;
+            self.tree[node] = l;
         }
         // The root match's winner is the champion; with a single input
         // (cap == 1) no match was played and input 0 wins by default.
-        let winner = round.get(1).copied().unwrap_or(0);
-        LoserTree {
-            tree,
-            winner,
-            cap,
-            k,
-        }
+        self.winner = self.round.get(1).copied().unwrap_or(0);
     }
 
     /// The input whose head is currently smallest.
@@ -102,13 +130,14 @@ impl LoserTree {
         match (a_done, b_done) {
             (true, _) => false,
             (false, true) => true,
+            // Ties go to the lower input index, so one strict compare
+            // decides: the lower input wins unless the higher one is
+            // strictly less.
             (false, false) => {
-                if leaf_less(a, b) {
-                    true
-                } else if leaf_less(b, a) {
-                    false
+                if a < b {
+                    !leaf_less(b, a)
                 } else {
-                    a < b
+                    leaf_less(a, b)
                 }
             }
         }
@@ -473,6 +502,46 @@ mod tests {
         let mut expected: Vec<u32> = runs.iter().flatten().copied().collect();
         expected.sort_unstable();
         assert_eq!(out, expected);
+    }
+
+    /// A played match (both heads live) costs exactly one comparator
+    /// call, whichever side wins. With two inputs every replay plays the
+    /// root match, so the played matches are the build match plus one per
+    /// emission that leaves both inputs non-empty.
+    #[test]
+    fn one_comparator_call_per_played_match() {
+        let cases: [(Vec<u32>, Vec<u32>); 4] = [
+            (vec![1, 2, 3], vec![4, 5, 6]),
+            (vec![4, 5, 6], vec![1, 2, 3]),
+            (vec![1, 3, 5, 7], vec![2, 4, 6]),
+            (vec![2, 2, 5, 5], vec![2, 5, 5, 9]),
+        ];
+        for (a, b) in cases {
+            let runs = [a.as_slice(), b.as_slice()];
+            let calls = std::cell::Cell::new(0usize);
+            let out = kway_merge(&runs, &mut |x: &u32, y: &u32| {
+                calls.set(calls.get() + 1);
+                x < y
+            });
+            let mut expected = a.clone();
+            expected.extend_from_slice(&b);
+            expected.sort_unstable();
+            assert_eq!(out, expected, "merge output for {a:?} / {b:?}");
+            let total = a.len() + b.len();
+            let mut taken = [0usize; 2];
+            let mut played = 1;
+            for &v in &out[..total - 1] {
+                // Stable merge: a tie takes from input 0 first.
+                let w = if taken[0] < a.len() && a[taken[0]] == v {
+                    0
+                } else {
+                    1
+                };
+                taken[w] += 1;
+                played += usize::from(taken[0] < a.len() && taken[1] < b.len());
+            }
+            assert_eq!(calls.get(), played, "comparator calls for {a:?} / {b:?}");
+        }
     }
 
     /// Merge u32 runs through [`OvcLoserTree`] with a one-word OVC: the

@@ -119,9 +119,8 @@ fn bench_pipeline(c: &mut Harness) {
 
     // Wide multi-column VARCHAR keys with long shared prefixes — the
     // offset-value coding headline case. Small runs make the merge 64
-    // ways so comparator work dominates; the coded sort merges them in
-    // one tree-of-losers pass while the _novc twin pays the full
-    // six-round cascade with whole-key compares.
+    // ways so comparator work dominates; both merge them in one
+    // tree-of-losers pass, the _novc twin with whole-key compares.
     let n = sizes()[0].min(1_000_000);
     let chunk = wide_key_chunk(n, 0xF16_14);
     let order = OrderBy::new(vec![

@@ -15,7 +15,10 @@
 //!   the sort must not have been recorded as completed.
 //! * **Always**: no leaked run files — every live file in the fault
 //!   filesystem is accounted for by the `spill_cleanup_failed` counter
-//!   (a fault that made deletion itself fail).
+//!   (a fault that made deletion itself fail). And the in-memory
+//!   [`SortPipeline`] at a random thread count and run size reproduces
+//!   its single-threaded output byte for byte, so range-partitioned
+//!   in-memory merges get the same randomized coverage as spilled ones.
 //!
 //! Violations carry the iteration seed, so any failure reproduces with
 //! `stress --iters 1 --seed <seed>`.
@@ -25,6 +28,7 @@ use std::time::Duration;
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::Counter;
+use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::spill::SpillError;
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::json::Json;
@@ -235,6 +239,8 @@ pub fn run_iteration(seed: u64) -> IterationReport {
     let est_row_bytes = 16 * chunk.column_count() as u64 + 16;
     let expected_bytes = (rows as u64 + 1) * est_row_bytes;
     let schedule = FaultSchedule::generate(&mut rng, expected_files, expected_bytes);
+    let pipeline_threads = rng.range_inclusive(1usize, 4);
+    let run_rows = rng.range_inclusive(1usize, 600);
 
     let fs = FaultFs::new(schedule);
     let sorter = ExternalSorter::with_spill_io(
@@ -349,6 +355,31 @@ pub fn run_iteration(seed: u64) -> IterationReport {
     check(
         leaked == cleanup_failed,
         &format!("leaked {leaked} run files but counted {cleanup_failed} cleanup failures"),
+    );
+
+    // Range partitioning may not reorder anything in memory either: the
+    // pipeline's row bytes and heap must match its single-threaded run.
+    let pipeline_bytes = |threads: usize| {
+        let pipeline = SortPipeline::new(
+            chunk.types(),
+            order.clone(),
+            SortOptions {
+                threads,
+                run_rows,
+                ovc,
+            },
+        );
+        let sorted = pipeline.sort_rows(&chunk);
+        sorted
+            .payload()
+            .map(|block| (block.data().to_vec(), block.heap().to_vec()))
+    };
+    check(
+        pipeline_bytes(pipeline_threads) == pipeline_bytes(1),
+        &format!(
+            "pipeline ({pipeline_threads} threads, {run_rows}-row runs) diverged \
+             from its single-threaded output"
+        ),
     );
 
     IterationReport {

@@ -13,14 +13,15 @@
 //!    then *spilled* to a temporary file as self-contained records
 //!    (`key ‖ payload row ‖ per-row string segment`), so a run's memory is
 //!    released before the next run is built.
-//! 2. **Streaming merge**: a loser tree over buffered run readers pops one
-//!    record at a time; peak memory during the merge is one buffer per run
-//!    plus the output. With more than one merge thread the key space is
-//!    cut into disjoint ranges at splitter keys sampled from the runs
-//!    (DESIGN.md §11), a verifying scan locates each run's range
-//!    boundaries, and the persistent worker pool merges every range
-//!    independently into pre-sized slots of one shared output — the
-//!    concatenation is bit-identical to the single-threaded merge.
+//! 2. **Streaming merge**: the pipeline's k-way loser-tree kernel
+//!    ([`crate::merge`]) over buffered run readers pops one record at a
+//!    time; peak memory during the merge is one buffer per run plus the
+//!    output. With more than one merge thread the key space is cut into
+//!    disjoint ranges at splitter keys sampled from the runs (DESIGN.md
+//!    §11), a verifying scan locates each run's range boundaries, and the
+//!    persistent worker pool merges every range independently into
+//!    pre-sized slots of one shared output — the concatenation is
+//!    bit-identical to the single-range merge.
 //!
 //! Storage is reached only through the [`SpillIo`] trait (`std::fs` by
 //! default, a fault-injecting in-memory backend in tests), and the spill
@@ -39,17 +40,15 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::KeyBlock;
+use crate::merge::{self, Area, HeapOut, MergeOrder, RunHeads, Trees};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
 use crate::spill::{ReadAhead, SpillError, SpillIo, SpillOp, StdFs};
-use crate::workers::{SendPtr, WorkerPool};
-use rowsort_algos::kway::{LoserTree, OvcLoserTree, OvcMatch};
+use crate::workers::WorkerPool;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::cell::Cell;
-use std::cmp::Ordering;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -84,17 +83,6 @@ const SPILL_FLAG_OVC: u16 = 1;
 /// record — the byte offset every partition scan starts from.
 const HEADER_BYTES: u64 = 8;
 
-/// Splitter candidates sampled per run at encode time. 32 evenly spaced
-/// keys per run give the partitioner `32 × runs` sorted candidates —
-/// plenty for a near-even cut at any plausible thread count, for a few
-/// hundred bytes per run.
-const MERGE_SAMPLES_PER_RUN: usize = 32;
-
-/// Minimum rows per merge partition. Below this the per-range overhead
-/// (cursor setup, a read-ahead buffer pair per run) outweighs the
-/// parallelism, so the partition count is capped at `total / 256`.
-const MIN_ROWS_PER_PARTITION: usize = 256;
-
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
 pub struct ExternalSortOptions {
@@ -113,10 +101,11 @@ pub struct ExternalSortOptions {
     /// OVC-aware loser tree (DESIGN.md §10). Defaults to
     /// [`crate::pipeline::default_ovc`] (`ROWSORT_OVC=0` disables).
     pub ovc: bool,
-    /// Worker threads for the spill-merge phase. With more than one, the
-    /// merge is range-partitioned across the persistent worker pool
-    /// (DESIGN.md §11); output is bit-identical at any thread count.
-    /// Defaults to [`crate::pipeline::default_threads`].
+    /// Worker threads for the spill-merge phase: the k-way merge is cut
+    /// into up to this many key ranges, merged in parallel on the
+    /// persistent worker pool (DESIGN.md §11). One thread merges every
+    /// run file in a single verifying pass. Output is bit-identical at
+    /// any thread count. Defaults to [`crate::pipeline::default_threads`].
     pub merge_threads: usize,
 }
 
@@ -203,12 +192,16 @@ impl Drop for SpilledRun {
 }
 
 /// One sorted run plus the splitter-candidate keys sampled from it at
-/// encode time (up to [`MERGE_SAMPLES_PER_RUN`] evenly spaced keys of
+/// encode time (up to [`merge::SAMPLES_PER_RUN`] evenly spaced keys of
 /// `key_width` bytes each). The samples cost nothing to capture while
 /// the run's keys are hot and let the partitioned merge choose range
 /// splitters without re-reading any file.
 struct Run {
     samples: Vec<u8>,
+    /// Total string-segment bytes of the run's records, recorded as the
+    /// run was encoded: sizes a whole-file merge's output heap without a
+    /// scan pass.
+    heap_bytes: u64,
     store: RunStore,
 }
 
@@ -228,6 +221,7 @@ impl Run {
     fn memory(bytes: Vec<u8>, rows: usize) -> Run {
         Run {
             samples: Vec::new(),
+            heap_bytes: 0,
             store: RunStore::Memory { bytes, rows },
         }
     }
@@ -767,14 +761,20 @@ impl ExternalSorter {
     }
 
     /// Encode one sorted run as self-contained records plus the xxHash64
-    /// trailer. The encoding is identical whether the run lands on disk
-    /// or stays in memory.
+    /// trailer, returning the bytes and the run's total string-segment
+    /// bytes. The encoding is identical whether the run lands on disk or
+    /// stays in memory.
     ///
     /// With OVC enabled each record carries its offset-value code relative
     /// to the record before it — computed here for free, while the keys
     /// are already hot from the run sort, so the spill merge starts with
     /// codes instead of deriving them.
-    fn encode_run(&self, keys: &KeyBlock, payload: &RowBlock, varlen_cols: &[usize]) -> Vec<u8> {
+    fn encode_run(
+        &self,
+        keys: &KeyBlock,
+        payload: &RowBlock,
+        varlen_cols: &[usize],
+    ) -> (Vec<u8>, u64) {
         let width = self.layout.width();
         let kw = keys.key_width();
         let use_ovc = self.use_ovc(kw);
@@ -787,6 +787,7 @@ impl ExternalSorter {
         out.extend_from_slice(&flags.to_le_bytes());
         let mut row_buf = vec![0u8; width];
         let mut seg: Vec<u8> = Vec::new();
+        let mut heap_bytes = 0u64;
         for i in 0..keys.len() {
             let rid = keys.row_id(i) as usize;
             out.extend_from_slice(keys.key(i));
@@ -814,10 +815,11 @@ impl ExternalSorter {
             out.extend_from_slice(&row_buf);
             out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
             out.extend_from_slice(&seg);
+            heap_bytes += seg.len() as u64;
         }
         let digest = XxHash64::hash(&out, SPILL_CHECKSUM_SEED);
         out.extend_from_slice(&digest.to_le_bytes());
-        out
+        (out, heap_bytes)
     }
 
     /// Write `bytes` to a fresh run file in one shot.
@@ -843,23 +845,6 @@ impl ExternalSorter {
         }
     }
 
-    /// Evenly spaced splitter-candidate keys from a sorted run: up to
-    /// [`MERGE_SAMPLES_PER_RUN`] keys at indices `j·n/s`, captured while
-    /// the keys are hot from the run sort.
-    fn sample_keys(keys: &KeyBlock) -> Vec<u8> {
-        let kw = keys.key_width();
-        let n = keys.len();
-        if kw == 0 || n == 0 {
-            return Vec::new();
-        }
-        let s = n.min(MERGE_SAMPLES_PER_RUN);
-        let mut out = Vec::with_capacity(s * kw);
-        for j in 0..s {
-            out.extend_from_slice(keys.key(j * n / s));
-        }
-        out
-    }
-
     /// Encode one sorted run and place it: on disk under the retry /
     /// degradation policy, or in memory once spill space is gone.
     fn spill_run(
@@ -869,14 +854,17 @@ impl ExternalSorter {
         varlen_cols: &[usize],
         degraded: &mut bool,
     ) -> Result<Run, SpillError> {
-        let bytes = self.encode_run(keys, payload, varlen_cols);
-        let samples = Self::sample_keys(keys);
+        let (bytes, heap_bytes) = self.encode_run(keys, payload, varlen_cols);
+        // Splitter candidates, captured while the keys are hot.
+        let mut samples = Vec::new();
+        merge::sample_keys(keys.len(), |i| keys.key(i), &mut samples);
         let rows = keys.len();
         self.metrics.add(Counter::BytesMoved, bytes.len() as u64);
         if *degraded {
             self.metrics.add(Counter::SpillMemFallbackRuns, 1);
             return Ok(Run {
                 samples,
+                heap_bytes,
                 store: RunStore::Memory { bytes, rows },
             });
         }
@@ -890,6 +878,7 @@ impl ExternalSorter {
                     self.metrics.add(Counter::SpilledBytes, bytes.len() as u64);
                     return Ok(Run {
                         samples,
+                        heap_bytes,
                         store: RunStore::Spilled(SpilledRun {
                             path,
                             rows,
@@ -907,6 +896,7 @@ impl ExternalSorter {
                         self.metrics.add(Counter::SpillMemFallbackRuns, 1);
                         return Ok(Run {
                             samples,
+                            heap_bytes,
                             store: RunStore::Memory { bytes, rows },
                         });
                     }
@@ -921,41 +911,6 @@ impl ExternalSorter {
                 }
             }
         }
-    }
-
-    /// Copy the winner cursor's current record into the output block,
-    /// re-basing its heap offsets into the shared output heap.
-    fn emit_record(
-        &self,
-        cur: &RunCursor<'_>,
-        out_data: &mut Vec<u8>,
-        out_heap: &mut Vec<u8>,
-        varlen_cols: &[usize],
-    ) -> Result<(), SpillError> {
-        let base = out_data.len();
-        out_data.extend_from_slice(&cur.row);
-        for &c in varlen_cols {
-            let null_off = self.layout.null_offset(c);
-            if cur.row[null_off] != 0 {
-                continue;
-            }
-            let at = base + self.layout.offset(c);
-            let rel = u32::from_le_bytes(read_slot(out_data, at));
-            let len = u32::from_le_bytes(read_slot(out_data, at + 4)) as usize;
-            let (rel, end) = (rel as usize, rel as usize + len);
-            if end > cur.heap.len() {
-                // Only reachable with corrupted offsets the checksum has
-                // not yet had a chance to reject.
-                return Err(SpillError::corrupt(
-                    &cur.path,
-                    "string segment reference out of bounds",
-                ));
-            }
-            let new_off = out_heap.len() as u32;
-            out_heap.extend_from_slice(&cur.heap[rel..end]);
-            out_data[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
-        }
-        Ok(())
     }
 
     /// Open a full-file verifying cursor over `run`, with double-buffered
@@ -987,40 +942,39 @@ impl ExternalSorter {
         }
     }
 
-    /// How many key ranges to cut the merge into: the configured thread
-    /// count, capped so every range covers at least
-    /// [`MIN_ROWS_PER_PARTITION`] rows on average. Partitioning is
-    /// pointless (and forced to 1) for a single run, a zero-width key
-    /// (nothing to split on), or runs without samples.
-    fn plan_parts(&self, runs: &[Run], kw: usize, total: usize) -> usize {
-        let threads = self.options.merge_threads;
-        if threads <= 1 || kw == 0 || runs.len() < 2 {
-            return 1;
+    /// Open a cursor over one range of `run`: `rows` records starting at
+    /// byte `byte_off`, with double-buffered read-ahead for spilled runs.
+    fn open_ranged<'r>(
+        &self,
+        run: &'r Run,
+        byte_off: u64,
+        rows: usize,
+        kw: usize,
+        width: usize,
+        use_ovc: bool,
+    ) -> Result<RunCursor<'r>, SpillError> {
+        match &run.store {
+            RunStore::Spilled(r) => {
+                let reader =
+                    r.io.open_at(&r.path, byte_off)
+                        .map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
+                self.metrics.add(Counter::SpillSeamSkipBytes, byte_off);
+                let reader: Box<dyn Read + Send + 'r> =
+                    Box::new(ReadAhead::new(reader, &self.pool, &self.metrics));
+                RunCursor::new_ranged(reader, r.path.clone(), rows, kw, width, use_ovc)
+            }
+            RunStore::Memory { bytes, .. } => RunCursor::new_ranged(
+                Box::new(&bytes[byte_off as usize..]),
+                PathBuf::from("<in-memory run>"),
+                rows,
+                kw,
+                width,
+                use_ovc,
+            ),
         }
-        if runs.iter().all(|r| r.samples.is_empty()) {
-            return 1;
-        }
-        threads.min(total / MIN_ROWS_PER_PARTITION).max(1)
     }
 
-    /// Choose `parts - 1` splitter keys: sort the concatenation of every
-    /// run's sample keys and take evenly spaced picks. Range `p` covers
-    /// keys in `[splitter[p-1], splitter[p])` under the lower-bound cut
-    /// rule, so byte-equal keys always land in the same range.
-    fn choose_splitters(runs: &[Run], kw: usize, parts: usize) -> Vec<u8> {
-        let mut samples: Vec<&[u8]> = Vec::new();
-        for run in runs {
-            samples.extend(run.samples.chunks_exact(kw));
-        }
-        samples.sort_unstable();
-        let mut out = Vec::with_capacity((parts - 1) * kw);
-        for j in 1..parts {
-            out.extend_from_slice(samples[j * samples.len() / parts]);
-        }
-        out
-    }
-
-    /// Phase A of the partitioned merge: one verifying pass over `run`
+    /// Phase A of a multi-range merge: one verifying pass over `run`
     /// locating, for every splitter, the first record whose key is `>=`
     /// that splitter (the streaming equivalent of a lower-bound binary
     /// search — runs are sequential files, so the seam search rides the
@@ -1076,9 +1030,18 @@ impl ExternalSorter {
         Ok(RunScan { cuts })
     }
 
-    /// Streaming k-way merge over the runs: partitioned across the worker
-    /// pool when the plan allows, single-threaded otherwise. Both paths
-    /// produce bit-identical output.
+    /// Merge the runs in one k-way pass (DESIGN.md §11), cut into up to
+    /// `merge_threads` key ranges.
+    ///
+    /// One range merges every run through its full-file verifying cursor,
+    /// so each file is read exactly once; its output is sized from the
+    /// row and string-byte totals `spill_run` recorded. More ranges first
+    /// scan every run (Phase A, [`ExternalSorter::scan_runs`]) to locate
+    /// each range's seams and sizes, then merge each range from ranged
+    /// cursors seeked to its seams (Phase B) on the worker pool. Either
+    /// way every range writes its disjoint slice of one pre-sized output,
+    /// so the concatenation needs no fix-up pass and is bit-identical at
+    /// any range count.
     fn merge_runs(
         &self,
         runs: &[Run],
@@ -1086,322 +1049,109 @@ impl ExternalSorter {
         width: usize,
         varlen_cols: &[usize],
     ) -> Result<DataChunk, SpillError> {
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
-        let parts = self.plan_parts(runs, kw, total);
-        self.metrics.add(Counter::SpillMergePartitions, parts as u64);
-        if parts <= 1 {
-            return self.merge_runs_seq(runs, kw, width, varlen_cols);
-        }
-        self.merge_runs_partitioned(runs, kw, width, varlen_cols, parts, total)
-    }
-
-    /// The single-threaded merge: one verifying pass that merges as it
-    /// reads (no seam scan, so each run file is read exactly once).
-    fn merge_runs_seq(
-        &self,
-        runs: &[Run],
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-    ) -> Result<DataChunk, SpillError> {
-        let k = runs.len();
-        if k == 0 {
-            // All rows fit nowhere — no runs means no rows.
-            return Ok(DataChunk::new(&self.types));
-        }
+        let total: usize = runs.iter().map(Run::rows).sum();
+        let parts = merge::plan_parts(self.options.merge_threads, kw, runs.len(), total);
+        self.metrics
+            .add(Counter::SpillMergePartitions, parts as u64);
         let use_ovc = self.use_ovc(kw);
-        let mut cursors: Vec<RunCursor<'_>> = runs
-            .iter()
-            .map(|r| self.open_verifying(r, kw, width, use_ovc))
-            .collect::<Result<Vec<_>, _>>()?;
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
-        if k == 1 {
-            // A single run is already sorted: drain it straight into the
-            // output instead of building a degenerate one-leaf tree.
-            let mut out_data: Vec<u8> = Vec::with_capacity(total * width);
-            let mut out_heap: Vec<u8> = Vec::new();
-            let Some(cur) = cursors.first_mut() else {
-                return Ok(DataChunk::new(&self.types)); // unreachable: k == 1
-            };
-            for _ in 0..total {
-                self.emit_record(cur, &mut out_data, &mut out_heap, varlen_cols)?;
-                cur.advance()?;
-            }
-            if !cur.exhausted() {
-                cur.advance()?;
-            }
-            let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
-            return Ok(block.to_chunk());
-        }
-        let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
-        let tie_possible = !varlen_cols.is_empty();
-
-        // Comparator-work counters, accumulated locally (`Cell` because
-        // the tree closures are re-created per replay) and flushed to the
-        // registry once after the merge.
-        let cmps = Cell::new(0u64);
-        let ovc_resolved = Cell::new(0u64);
-        let key_bytes = Cell::new(0u64);
-
-        // Assemble the output block row by row, re-basing heap offsets.
-        let mut out_data: Vec<u8> = Vec::with_capacity(total * width);
-        let mut out_heap: Vec<u8> = Vec::new();
-        if use_ovc {
-            let arity = ovc::word_count(kw);
-            // One loser-tree match under OVC: codes decide outright when
-            // they differ; suffix bytes past the shared prefix are only
-            // touched on a code tie; the row tiebreak runs only on full
-            // key equality, and a full tie goes to the lower run index —
-            // exactly [`LoserTree`]'s stability rule, so OVC on/off merge
-            // the same rows in the same order.
-            let play =
-                |cursors: &[RunCursor<'_>], a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-                    let (ha, hb) = (&cursors[a], &cursors[b]);
-                    let r = ovc::compare_update(&ha.key, ca, &hb.key, cb, arity);
-                    cmps.set(cmps.get() + 1);
-                    ovc_resolved.set(ovc_resolved.get() + u64::from(r.resolved));
-                    key_bytes.set(key_bytes.get() + r.key_bytes);
-                    let ord = match r.ord {
-                        Ordering::Equal if tie_possible => {
-                            tie_cmp.compare(&ha.row, &ha.heap, &hb.row, &hb.heap)
-                        }
-                        ord => ord,
-                    };
-                    let a_beats_b = match ord {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a < b,
-                    };
-                    OvcMatch {
-                        a_beats_b,
-                        loser_code: r.loser_code,
-                    }
-                };
-            let cursors_ref = &cursors;
-            let mut tree = OvcLoserTree::new(
-                k,
-                |i| cursors_ref[i].code,
-                |i| cursors_ref[i].exhausted(),
-                |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-            );
-            for _ in 0..total {
-                let w = tree.winner();
-                self.emit_record(&cursors[w], &mut out_data, &mut out_heap, varlen_cols)?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                // The new head's run-stored code is relative to the row
-                // just emitted — the same base every resident loser on
-                // this leaf's root path was re-coded against.
-                let leaf_code = if cursors_ref[w].exhausted() {
-                    u64::MAX
-                } else {
-                    cursors_ref[w].code
-                };
-                tree.replay(
-                    w,
-                    leaf_code,
-                    &mut |i| cursors_ref[i].exhausted(),
-                    &mut |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-                );
-            }
+        let scans = if parts > 1 {
+            self.scan_runs(runs, kw, width, use_ovc, parts)?
         } else {
-            let cmp = |a: &RunCursor<'_>, b: &RunCursor<'_>| -> Ordering {
-                cmps.set(cmps.get() + 1);
-                key_bytes.set(key_bytes.get() + 2 * kw as u64);
-                match a.key.cmp(&b.key) {
-                    Ordering::Equal if tie_possible => {
-                        tie_cmp.compare(&a.row, &a.heap, &b.row, &b.heap)
-                    }
-                    ord => ord,
-                }
-            };
-            let cursors_ref = &cursors;
-            let mut tree = LoserTree::new(
-                k,
-                |i| cursors_ref[i].exhausted(),
-                |a, b| cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less,
-            );
-            for _ in 0..total {
-                let w = tree.winner();
-                self.emit_record(&cursors[w], &mut out_data, &mut out_heap, varlen_cols)?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                tree.replay(w, &mut |i| cursors_ref[i].exhausted(), &mut |a, b| {
-                    cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less
-                });
-            }
-        }
-        // Every cursor has consumed its record count; drive the final
-        // advance on any cursor the winner loop left un-finalized so
-        // all trailers are verified before the output escapes.
-        for cur in cursors.iter_mut() {
-            if !cur.exhausted() {
-                cur.advance()?;
-            }
-        }
-        drop(cursors);
-        self.metrics.add(Counter::MergeCmps, cmps.get());
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, ovc_resolved.get());
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, key_bytes.get());
-
-        let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
-        Ok(block.to_chunk())
-    }
-
-    /// The range-partitioned merge (DESIGN.md §11).
-    ///
-    /// Phase A scans every run once (in parallel, verifying checksums)
-    /// to locate each splitter's seam — record index, byte offset, heap
-    /// bytes — per run. The cuts give every range's exact row and heap
-    /// size, so one output row area and one output heap are pre-sized
-    /// and each worker writes its range's disjoint slice directly: the
-    /// concatenation needs no fix-up pass and is bit-identical to the
-    /// sequential merge.
-    ///
-    /// Phase B merges each range through its own loser tree over ranged
-    /// cursors seeked to the seam offsets ([`SpillIo::open_at`]), with
-    /// double-buffered read-ahead on spilled runs.
-    ///
-    /// Errors from either phase are reported deterministically: the
-    /// failure of the lowest run index (Phase A) or range index (Phase
-    /// B) wins, independent of worker scheduling.
-    fn merge_runs_partitioned(
-        &self,
-        runs: &[Run],
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-        parts: usize,
-        total: usize,
-    ) -> Result<DataChunk, SpillError> {
-        let use_ovc = self.use_ovc(kw);
-        let splitters = Self::choose_splitters(runs, kw, parts);
-        let workers = self.workers();
-
-        // Phase A: verifying seam scan, parallel over runs.
-        let scan_slots: Vec<Mutex<Option<Result<RunScan, SpillError>>>> =
-            runs.iter().map(|_| Mutex::new(None)).collect();
-        let next_run = AtomicUsize::new(0);
-        workers.broadcast(&|_w| loop {
-            let r = next_run.fetch_add(1, AtomicOrdering::Relaxed);
-            if r >= runs.len() {
-                break;
-            }
-            let res = self.scan_run(&runs[r], kw, width, use_ovc, &splitters, parts);
-            *scan_slots[r].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-        });
-        let mut scans: Vec<RunScan> = Vec::with_capacity(runs.len());
-        for slot in scan_slots {
-            // The broadcast fills every slot before returning; an empty
-            // one means the pool lost a job, which must surface as a
-            // typed error, not a panic on a worker thread.
-            let res = match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(res) => res,
-                None => {
-                    return Err(SpillError::io(
-                        SpillOp::Read,
-                        Path::new("<merge>"),
-                        &io::Error::other("a seam scan job was never run"),
-                    ))
-                }
-            };
-            scans.push(res?);
-        }
-
-        // Range bases: rows/heap bytes in all ranges before range `p`.
-        let row_base: Vec<usize> = (0..=parts)
-            .map(|p| scans.iter().map(|s| s.cuts[p].index).sum())
-            .collect();
-        let heap_base: Vec<u64> = (0..=parts)
-            .map(|p| scans.iter().map(|s| s.cuts[p].heap_before).sum())
-            .collect();
-        debug_assert_eq!(row_base[parts], total);
-        let total_heap = heap_base[parts] as usize;
-
-        // One shared output, sized exactly from the scan; each range owns
-        // a disjoint slice of both areas.
+            Vec::new()
+        };
+        // Rows / string bytes in all ranges before range `p`.
+        let (row_base, heap_base): (Vec<usize>, Vec<usize>) = if parts > 1 {
+            (0..=parts)
+                .map(|p| {
+                    scans.iter().fold((0, 0), |(rows, heap), s| {
+                        (
+                            rows + s.cuts[p].index,
+                            heap + s.cuts[p].heap_before as usize,
+                        )
+                    })
+                })
+                .unzip()
+        } else {
+            let heap: u64 = runs.iter().map(|r| r.heap_bytes).sum();
+            (vec![0, total], vec![0, heap as usize])
+        };
+        let total_heap = heap_base.last().copied().unwrap_or(0);
         let mut out_data = self.pool.get_bytes(total * width);
         out_data.resize(total * width, 0);
         let mut out_heap = self.pool.get_bytes(total_heap);
         out_heap.resize(total_heap, 0);
 
-        // Phase B: ranged merges, parallel over ranges.
-        let data_ptr = SendPtr::new(out_data.as_mut_ptr());
-        let heap_ptr = SendPtr::new(out_heap.as_mut_ptr());
-        let merge_slots: Vec<Mutex<Option<Result<RangeMergeStats, SpillError>>>> =
-            (0..parts).map(|_| Mutex::new(None)).collect();
-        let next_part = AtomicUsize::new(0);
-        let scans_ref = &scans;
-        let row_base_ref = &row_base;
-        let heap_base_ref = &heap_base;
-        workers.broadcast(&|_w| loop {
-            let p = next_part.fetch_add(1, AtomicOrdering::Relaxed);
-            if p >= parts {
-                break;
-            }
-            let rows_in = row_base_ref[p + 1] - row_base_ref[p];
-            let heap_in = (heap_base_ref[p + 1] - heap_base_ref[p]) as usize;
-            // SAFETY: `data_ptr` points at `out_data`, which `row_base`'s
-            // prefix sums partition into `[0, total * width)` — range `p`
-            // owns exactly `[row_base[p] * width, row_base[p+1] * width)`,
-            // disjoint from every other range's slice, in bounds, and
-            // alive until the broadcast barrier below returns.
-            let data = unsafe {
-                std::slice::from_raw_parts_mut(
-                    data_ptr.get().add(row_base_ref[p] * width),
-                    rows_in * width,
-                )
-            };
-            // SAFETY: `heap_ptr` points at `out_heap`, partitioned by the
-            // `heap_base_ref` prefix sums the same way — range `p` owns
-            // the disjoint in-bounds span of `heap_in` bytes starting at
-            // `heap_base_ref[p]`, in a buffer alive until the broadcast
-            // barrier returns.
-            let heap = unsafe {
-                std::slice::from_raw_parts_mut(
-                    heap_ptr.get().add(heap_base_ref[p] as usize),
-                    heap_in,
-                )
-            };
-            let res = self.merge_range(
-                runs,
-                scans_ref,
-                p,
-                kw,
-                width,
+        let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
+        let order = MergeOrder {
+            kw,
+            tie: (!varlen_cols.is_empty()).then_some(&tie_cmp),
+            ovc: use_ovc,
+        };
+        let merge_one = |p: usize, [data, heap]: [&mut [u8]; 2]| -> Result<(), SpillError> {
+            let mut heads = CursorHeads {
+                cursors: Vec::with_capacity(runs.len()),
+                layout: &self.layout,
                 varlen_cols,
-                use_ovc,
-                rows_in,
-                data,
-                heap,
-                heap_base_ref[p],
-            );
-            *merge_slots[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-        });
-        let mut stats = RangeMergeStats::default();
-        for slot in merge_slots {
-            let res = match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(res) => res,
-                None => {
-                    return Err(SpillError::io(
-                        SpillOp::Read,
-                        Path::new("<merge>"),
-                        &io::Error::other("a range merge job was never run"),
-                    ))
-                }
             };
-            let s = res?;
-            stats.cmps += s.cmps;
-            stats.ovc_resolved += s.ovc_resolved;
-            stats.key_bytes += s.key_bytes;
-        }
-        self.metrics.add(Counter::MergeCmps, stats.cmps);
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, stats.ovc_resolved);
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, stats.key_bytes);
+            for (r, run) in runs.iter().enumerate() {
+                let Some(scan) = scans.get(r) else {
+                    heads
+                        .cursors
+                        .push(self.open_verifying(run, kw, width, use_ovc)?);
+                    continue;
+                };
+                // Runs with no rows in this range are skipped: the
+                // survivors keep their relative order, so the lower-index
+                // tie rule still agrees with the global one.
+                let (cut, next) = (scan.cuts[p], scan.cuts[p + 1]);
+                let rows = next.index - cut.index;
+                if rows > 0 {
+                    let cursor = self.open_ranged(run, cut.byte_off, rows, kw, width, use_ovc)?;
+                    heads.cursors.push(cursor);
+                }
+            }
+            let k = heads.cursors.len();
+            let mut heap = HeapOut {
+                buf: heap,
+                pos: 0,
+                base: heap_base[p],
+            };
+            let stats = merge::merge_range(
+                &mut heads,
+                k,
+                order,
+                &mut Trees::default(),
+                data,
+                width,
+                &mut heap,
+            )?;
+            if heap.pos != heap.buf.len() {
+                return Err(SpillError::corrupt(
+                    Path::new("<merge>"),
+                    format!(
+                        "range {p} wrote {} of its {} string-segment bytes",
+                        heap.pos,
+                        heap.buf.len()
+                    ),
+                ));
+            }
+            stats.record(&self.metrics);
+            Ok(())
+        };
+        let areas = [
+            Area {
+                buf: &mut out_data,
+                base: &row_base,
+                unit: width,
+            },
+            Area {
+                buf: &mut out_heap,
+                base: &heap_base,
+                unit: 1,
+            },
+        ];
+        let workers = (parts > 1).then(|| self.workers());
+        merge::for_each_range(workers, parts, areas, &merge_one)?;
 
         let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
         let chunk = block.to_chunk();
@@ -1411,220 +1161,114 @@ impl ExternalSorter {
         Ok(chunk)
     }
 
-    /// Merge one key range across all runs into its output slices.
-    /// Cursors are opened at the seam byte offsets the scan computed;
-    /// runs with no rows in the range are skipped (the survivors keep
-    /// their relative order, so the tree's lower-index tie-break agrees
-    /// with the global stability rule — byte-equal keys never straddle a
-    /// range boundary).
-    #[allow(clippy::too_many_arguments)]
-    fn merge_range(
+    /// Phase A of a multi-range merge: choose the splitters, then scan
+    /// every run in parallel for its range cuts, verifying every byte of
+    /// every file before any range is merged. The failure of the lowest
+    /// run index wins, independent of worker scheduling.
+    fn scan_runs(
         &self,
         runs: &[Run],
-        scans: &[RunScan],
-        part: usize,
         kw: usize,
         width: usize,
-        varlen_cols: &[usize],
         use_ovc: bool,
-        rows_in: usize,
-        data: &mut [u8],
-        heap: &mut [u8],
-        heap_base: u64,
-    ) -> Result<RangeMergeStats, SpillError> {
-        let mut stats = RangeMergeStats::default();
-        if rows_in == 0 {
-            return Ok(stats);
-        }
-        let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(runs.len());
-        for (run, scan) in runs.iter().zip(scans) {
-            let cut = &scan.cuts[part];
-            let rows = scan.cuts[part + 1].index - cut.index;
-            if rows == 0 {
-                continue;
+        parts: usize,
+    ) -> Result<Vec<RunScan>, SpillError> {
+        let samples: Vec<u8> = runs
+            .iter()
+            .flat_map(|r| r.samples.iter().copied())
+            .collect();
+        let mut splitters = Vec::with_capacity((parts - 1) * kw);
+        merge::choose_splitters(&samples, kw, parts, &mut Vec::new(), &mut splitters);
+        let slots: Vec<Mutex<Option<Result<RunScan, SpillError>>>> =
+            runs.iter().map(|_| Mutex::new(None)).collect();
+        let next_run = AtomicUsize::new(0);
+        self.workers().broadcast(&|_w| loop {
+            let r = next_run.fetch_add(1, AtomicOrdering::Relaxed);
+            if r >= runs.len() {
+                break;
             }
-            let cursor = match &run.store {
-                RunStore::Spilled(r) => {
-                    let reader = r
-                        .io
-                        .open_at(&r.path, cut.byte_off)
-                        .map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
-                    self.metrics.add(Counter::SpillSeamSkipBytes, cut.byte_off);
-                    let reader: Box<dyn Read + Send + '_> =
-                        Box::new(ReadAhead::new(reader, &self.pool, &self.metrics));
-                    RunCursor::new_ranged(reader, r.path.clone(), rows, kw, width, use_ovc)?
+            let res = self.scan_run(&runs[r], kw, width, use_ovc, &splitters, parts);
+            *slots[r].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
+        });
+        let mut scans = Vec::with_capacity(runs.len());
+        for slot in slots {
+            // The broadcast fills every slot before returning; an empty
+            // one means the pool lost a job, which must surface as a
+            // typed error, not a panic on a worker thread.
+            match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+                Some(res) => scans.push(res?),
+                None => {
+                    return Err(SpillError::io(
+                        SpillOp::Read,
+                        Path::new("<merge>"),
+                        &io::Error::other("a seam scan job was never run"),
+                    ))
                 }
-                RunStore::Memory { bytes, .. } => RunCursor::new_ranged(
-                    Box::new(&bytes[cut.byte_off as usize..]),
-                    PathBuf::from("<in-memory run>"),
-                    rows,
-                    kw,
-                    width,
-                    use_ovc,
-                )?,
-            };
-            cursors.push(cursor);
-        }
-        let k = cursors.len();
-        let mut heap_pos = 0usize;
-        if k == 1 {
-            // One run covers the whole range: a straight copy.
-            let Some(cur) = cursors.first_mut() else {
-                return Ok(stats); // unreachable: k == 1
-            };
-            for i in 0..rows_in {
-                self.emit_record_at(
-                    cur,
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cur.advance()?;
-            }
-            return Ok(stats);
-        }
-        let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
-        let tie_possible = !varlen_cols.is_empty();
-        let cmps = Cell::new(0u64);
-        let ovc_resolved = Cell::new(0u64);
-        let key_bytes = Cell::new(0u64);
-        if use_ovc {
-            let arity = ovc::word_count(kw);
-            let play =
-                |cursors: &[RunCursor<'_>], a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-                    let (ha, hb) = (&cursors[a], &cursors[b]);
-                    let r = ovc::compare_update(&ha.key, ca, &hb.key, cb, arity);
-                    cmps.set(cmps.get() + 1);
-                    ovc_resolved.set(ovc_resolved.get() + u64::from(r.resolved));
-                    key_bytes.set(key_bytes.get() + r.key_bytes);
-                    let ord = match r.ord {
-                        Ordering::Equal if tie_possible => {
-                            tie_cmp.compare(&ha.row, &ha.heap, &hb.row, &hb.heap)
-                        }
-                        ord => ord,
-                    };
-                    let a_beats_b = match ord {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a < b,
-                    };
-                    OvcMatch {
-                        a_beats_b,
-                        loser_code: r.loser_code,
-                    }
-                };
-            let cursors_ref = &cursors;
-            let mut tree = OvcLoserTree::new(
-                k,
-                |i| cursors_ref[i].code,
-                |i| cursors_ref[i].exhausted(),
-                |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-            );
-            for i in 0..rows_in {
-                let w = tree.winner();
-                self.emit_record_at(
-                    &cursors[w],
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                let leaf_code = if cursors_ref[w].exhausted() {
-                    u64::MAX
-                } else {
-                    cursors_ref[w].code
-                };
-                tree.replay(
-                    w,
-                    leaf_code,
-                    &mut |i| cursors_ref[i].exhausted(),
-                    &mut |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-                );
-            }
-        } else {
-            let cmp = |a: &RunCursor<'_>, b: &RunCursor<'_>| -> Ordering {
-                cmps.set(cmps.get() + 1);
-                key_bytes.set(key_bytes.get() + 2 * kw as u64);
-                match a.key.cmp(&b.key) {
-                    Ordering::Equal if tie_possible => {
-                        tie_cmp.compare(&a.row, &a.heap, &b.row, &b.heap)
-                    }
-                    ord => ord,
-                }
-            };
-            let cursors_ref = &cursors;
-            let mut tree = LoserTree::new(
-                k,
-                |i| cursors_ref[i].exhausted(),
-                |a, b| cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less,
-            );
-            for i in 0..rows_in {
-                let w = tree.winner();
-                self.emit_record_at(
-                    &cursors[w],
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                tree.replay(w, &mut |i| cursors_ref[i].exhausted(), &mut |a, b| {
-                    cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less
-                });
             }
         }
-        stats.cmps = cmps.get();
-        stats.ovc_resolved = ovc_resolved.get();
-        stats.key_bytes = key_bytes.get();
-        Ok(stats)
+        Ok(scans)
+    }
+}
+
+/// The cursors of one range merge, as the merge kernel's run heads. A
+/// record's strings travel in its own segment, so emitting it copies them
+/// into the range's slice of the output heap and rewrites the row's
+/// string offsets to point there.
+struct CursorHeads<'a> {
+    cursors: Vec<RunCursor<'a>>,
+    layout: &'a RowLayout,
+    varlen_cols: &'a [usize],
+}
+
+impl RunHeads for CursorHeads<'_> {
+    type Error = SpillError;
+
+    fn exhausted(&self, i: usize) -> bool {
+        self.cursors[i].exhausted()
     }
 
-    /// As [`ExternalSorter::emit_record`], but into pre-sized slices of
-    /// the shared partitioned output: `slot` is this record's row slot,
-    /// `heap` the range's heap slice, `heap_pos` the write position
-    /// within it, and `heap_base` the slice's absolute offset in the
-    /// full output heap — rewritten string offsets are absolute, exactly
-    /// as the sequential merge writes them.
-    fn emit_record_at(
-        &self,
-        cur: &RunCursor<'_>,
-        slot: &mut [u8],
-        heap: &mut [u8],
-        heap_pos: &mut usize,
-        heap_base: u64,
-        varlen_cols: &[usize],
-    ) -> Result<(), SpillError> {
+    fn key(&self, i: usize) -> &[u8] {
+        &self.cursors[i].key
+    }
+
+    fn code(&self, i: usize) -> u64 {
+        self.cursors[i].code
+    }
+
+    fn row(&self, i: usize) -> (&[u8], &[u8]) {
+        let cur = &self.cursors[i];
+        (&cur.row, &cur.heap)
+    }
+
+    fn emit(&self, i: usize, slot: &mut [u8], heap: &mut HeapOut<'_>) -> Result<(), SpillError> {
+        let cur = &self.cursors[i];
         slot.copy_from_slice(&cur.row);
-        for &c in varlen_cols {
-            let null_off = self.layout.null_offset(c);
-            if slot[null_off] != 0 {
+        for &c in self.varlen_cols {
+            if slot[self.layout.null_offset(c)] != 0 {
                 continue;
             }
             let at = self.layout.offset(c);
             let rel = u32::from_le_bytes(read_slot(slot, at)) as usize;
             let len = u32::from_le_bytes(read_slot(slot, at + 4)) as usize;
             let end = rel + len;
-            if end > cur.heap.len() || *heap_pos + len > heap.len() {
-                // Unreachable for data the scan verified; kept as the
-                // same structural backstop the sequential merge has.
+            if end > cur.heap.len() || heap.pos + len > heap.buf.len() {
+                // Only reachable with corrupted offsets or sizes the
+                // checksum has not yet had a chance to reject.
                 return Err(SpillError::corrupt(
                     &cur.path,
                     "string segment reference out of bounds",
                 ));
             }
-            let new_off = heap_base + *heap_pos as u64;
-            heap[*heap_pos..*heap_pos + len].copy_from_slice(&cur.heap[rel..end]);
-            *heap_pos += len;
-            slot[at..at + 4].copy_from_slice(&(new_off as u32).to_le_bytes());
+            heap.buf[heap.pos..heap.pos + len].copy_from_slice(&cur.heap[rel..end]);
+            let off = (heap.base + heap.pos) as u32;
+            slot[at..at + 4].copy_from_slice(&off.to_le_bytes());
+            heap.pos += len;
         }
         Ok(())
+    }
+
+    fn advance(&mut self, i: usize) -> Result<(), SpillError> {
+        self.cursors[i].advance()
     }
 }
 
@@ -1645,19 +1289,12 @@ struct RunScan {
     cuts: Vec<RangeCut>,
 }
 
-/// Comparator-work counters accumulated by one range merge.
-#[derive(Default)]
-struct RangeMergeStats {
-    cmps: u64,
-    ovc_resolved: u64,
-    key_bytes: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
+    use std::cmp::Ordering;
 
     fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
         let mut state = seed;
@@ -2188,9 +1825,9 @@ mod tests {
         }
     }
 
-    /// Degenerate merges take the fast paths: zero runs yield an empty
-    /// chunk and one run streams through without a loser tree — neither
-    /// builds a degenerate tree or tries to partition, at any thread count.
+    /// Degenerate merges: zero runs yield an empty chunk, and one run
+    /// streams through a one-leaf tree that plays no matches — neither
+    /// tries to partition, at any thread count.
     #[test]
     fn zero_and_single_run_merges_take_fast_paths() {
         let chunk = stringy_chunk(400, 17);
@@ -2224,7 +1861,11 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(canon(&got), canon(&chunk.to_rows()), "rows lost or invented");
+        assert_eq!(
+            canon(&got),
+            canon(&chunk.to_rows()),
+            "rows lost or invented"
+        );
         for (i, w) in got.windows(2).enumerate() {
             assert_ne!(
                 order.compare_rows(&w[0], &w[1]),
@@ -2576,6 +2217,8 @@ mod tests {
     /// With long-shared-prefix keys most merge comparisons resolve on the
     /// code compare alone, and the counters show it: a high resolved rate
     /// and far fewer key bytes touched than two full keys per compare.
+    /// One merge thread takes the single whole-file pass, whose comparator
+    /// work is pinned exactly.
     #[test]
     fn ovc_merge_resolves_most_comparisons_on_codes() {
         let mut chunk = DataChunk::new(&[LogicalType::Varchar, LogicalType::UInt32]);
@@ -2595,6 +2238,7 @@ mod tests {
             ExternalSortOptions {
                 memory_limit_rows: 500,
                 ovc: true,
+                merge_threads: 1,
                 ..Default::default()
             },
         );
@@ -2608,6 +2252,10 @@ mod tests {
             resolved * 2 > cmps,
             "codes should resolve most comparisons: {resolved}/{cmps}"
         );
+        assert_eq!(m.counter(Counter::SpillMergePartitions), 1);
+        assert_eq!(cmps, 11_984);
+        assert_eq!(resolved, 11_977);
+        assert_eq!(m.counter(Counter::MergeKeyBytesTouched), 168);
     }
 
     /// A run file whose header advertises the wrong OVC flag for the merge
@@ -2663,7 +2311,7 @@ mod tests {
         keys.append_chunk(&chunk);
         keys.sort(|_, _| Ordering::Equal);
         let varlen = sorter.varlen_cols();
-        let mut bytes = sorter.encode_run(&keys, &payload, &varlen);
+        let (mut bytes, _) = sorter.encode_run(&keys, &payload, &varlen);
         let kw = keys.key_width();
         // Overwrite record 0's code (right after the 8-byte header and the
         // key) with an offset no encoder can emit.

@@ -10,7 +10,9 @@
 //!   tie resolution,
 //! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
 //!   morsel-parallel run generation, radix/pdqsort thread-local sorts,
-//!   Merge-Path-parallel cascaded 2-way merge, payload reordering,
+//!   payload reordering, and a range-partitioned k-way merge,
+//! * `merge` — the one loser-tree merge kernel both the pipeline and the
+//!   external sorter call, range-partitioned across the worker pool,
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
 //! * [`external`] — out-of-core sorting with spilled runs and a streaming
@@ -37,6 +39,7 @@ pub mod chooser;
 pub mod comparator;
 pub mod external;
 pub mod keys;
+mod merge;
 pub mod metrics;
 pub mod model;
 pub mod ovc;

@@ -44,7 +44,7 @@ pub enum Phase {
     /// Morsel-parallel run generation (stage, encode keys, local sort,
     /// payload reorder).
     RunGeneration,
-    /// The cascaded Merge-Path 2-way merge rounds.
+    /// The range-partitioned k-way merge of the sorted runs.
     Merge,
     /// External sort: building and writing spilled runs.
     Spill,
@@ -98,9 +98,9 @@ pub enum Counter {
     PdqSorts,
     /// Sorted runs produced by run generation.
     RunsGenerated,
-    /// Cascade rounds executed by the merge phase.
+    /// Merge passes: 1 per pipeline sort that merged more than one run.
     MergeRounds,
-    /// Merge-Path tasks dispatched across all rounds.
+    /// Key ranges the pipeline's merge was cut into.
     MergeTasks,
     /// Parallel-phase broadcasts through the worker pool.
     Broadcasts,
@@ -119,8 +119,8 @@ pub enum Counter {
     /// Run files rejected by read-back verification (checksum mismatch,
     /// truncation, or a structurally impossible record).
     SpillChecksumFailed,
-    /// Key comparisons performed by merge loops (2-way cascade rounds
-    /// and the external loser-tree merge; partition search excluded).
+    /// Key comparisons performed by the loser-tree merge, in memory and
+    /// over spilled runs (splitter choice and range cuts excluded).
     MergeCmps,
     /// Of those, comparisons resolved by the offset-value code alone —
     /// a single `u64` compare, no key bytes read (DESIGN.md §10).

@@ -3,44 +3,42 @@
 //! ```text
 //! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
 //!         ──► thread-local radix sort / pdqsort  ⇒ sorted runs
-//!         ──► cascaded 2-way merge, Merge-Path-partitioned across threads
-//!         ──► convert the single remaining run back to vectors
+//!         ──► one k-way loser-tree merge, range-partitioned across threads
+//!         ──► convert the merged rows back to vectors
 //! ```
 //!
 //! Run generation dominates the comparison count (§II: with k runs of n/k
 //! rows, `n·log(n) − n·log(k)` of the `n·log(n)` comparisons happen during
-//! run generation), so each worker sorts its own runs locally; the merge
-//! phase keeps every thread busy by splitting each 2-way merge along
-//! Merge Path diagonals, and (with [`SortOptions::ovc`], the default)
+//! run generation), so each worker sorts its own runs locally. The merge
+//! phase moves every row exactly once: the key space is cut into one
+//! range per thread at sampled splitter keys, and each range is merged
+//! through a tree of losers straight into its slice of the output
+//! ([`crate::merge`]). With [`SortOptions::ovc`], the default, the tree
 //! carries offset-value codes so most merge comparisons resolve on one
 //! `u64` compare instead of a whole-key `memcmp` (DESIGN.md §10).
 //!
 //! In steady state the pipeline is **allocation-free and
 //! thread-spawn-free** (DESIGN.md §6): every transient buffer — key runs,
-//! payload blocks, the radix scratch, merge outputs — comes from a
-//! [`BufferPool`] that survives across runs, merge rounds, and repeated
+//! payload blocks, the radix scratch, the merge output — comes from a
+//! [`BufferPool`] that survives across runs and repeated
 //! [`SortPipeline::sort`] calls, and phases execute on a persistent
-//! [`WorkerPool`] spawned once per pipeline. Each 2-way merge fuses pick
-//! generation with key/payload materialization: Merge Path partitions the
-//! output, and every task writes keys and rows directly into its disjoint
-//! output range — there is no intermediate `(block, row)` pick pass.
+//! [`WorkerPool`] spawned once per pipeline.
 //!
-//! Output is deterministic: runs land in morsel-indexed slots, the cascade
-//! pairs them in a fixed order (any odd run carries over last), and Merge
-//! Path partitioning is exact — so the result, including the order within
-//! ties, is bit-identical for any thread count.
+//! Output is deterministic: runs land in morsel-indexed slots, ties go to
+//! the lower run index, and byte-equal keys never straddle a merge range —
+//! so the result, including the order within ties, is bit-identical for
+//! any thread count.
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::{word, KeyBlock, KeySortAlgo};
+use crate::merge::{self, Area, HeapOut, MergeOrder, RunHeads, Trees};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
-use crate::workers::{SendPtr, WorkerPool};
-use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
-use rowsort_algos::merge_path::merge_path_partition_by;
+use crate::workers::WorkerPool;
 use rowsort_algos::radix::radix_scratch_len;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, Vector};
-use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -78,7 +76,7 @@ pub struct SortOptions {
     /// Rows per thread-local sorted run (DuckDB sorts once a thread's
     /// collected data reaches a threshold; 128 Ki rows here).
     pub run_rows: usize,
-    /// Carry offset-value codes through the merge cascade so most merge
+    /// Merge through an offset-value coded tree of losers so most merge
     /// comparisons resolve on one `u64` compare (DESIGN.md §10). Output
     /// is bit-identical either way; this only changes how comparisons
     /// are computed.
@@ -124,45 +122,97 @@ impl SortedRun {
     fn len(&self) -> usize {
         self.payload.len()
     }
+
+    fn key(&self, i: usize) -> &[u8] {
+        &self.keys[i * self.key_width..(i + 1) * self.key_width]
+    }
 }
 
-/// One 2-way merge of a round, with raw output bases so Merge Path tasks
-/// on several workers can each fill their disjoint output range.
-struct MergeJob {
-    /// Indices of the input runs within the current round.
-    a: usize,
-    b: usize,
-    out_keys: SendPtr<u8>,
-    out_rows: SendPtr<u8>,
-    /// Output OVC column base (dangling when OVC is off).
-    out_ovc: SendPtr<u8>,
-    total: usize,
-    /// Added to the heap offsets of rows taken from run `b` (the output
-    /// heap is `a.heap ++ b.heap`).
-    heap_shift: u32,
-}
-
-/// Merge state shared by every task of a cascade: key width, row width,
-/// and tie/OVC configuration are properties of the *sort*, so they are
-/// derived once per [`SortPipeline::merge_runs`] instead of being
-/// re-computed inside every Merge Path task's comparison setup.
+/// One run's rows `pos..end` within a merge range, and the head's code.
 #[derive(Clone, Copy)]
-struct MergeCtx {
-    /// Bytes per normalized key (identical across all runs of a sort).
-    kw: usize,
-    /// Bytes per payload row.
-    width: usize,
-    /// Truncated VARCHAR prefixes can tie: byte-equal keys still need
-    /// the full-tuple comparator.
-    tie_possible: bool,
-    /// This cascade carries offset-value codes.
-    use_ovc: bool,
-    /// Write the merged output's code column. True on every round whose
-    /// output feeds another merge; the final round's codes have no
-    /// reader, so it skips the column entirely (no buffer, no stores).
-    emit_codes: bool,
-    /// Words per key for OVC (0 when `use_ovc` is false).
-    arity: usize,
+struct RunSpan {
+    pos: usize,
+    end: usize,
+    code: u64,
+}
+
+/// The heads of every run within one merge range. The output heap is the
+/// runs' heaps concatenated in run order, so emitting a row copies it and
+/// shifts its string offsets by its run's base; no string moves.
+struct MemHeads<'a> {
+    runs: &'a [SortedRun],
+    spans: &'a mut [RunSpan],
+    /// Offset of each run's heap within the output heap.
+    heap_base: &'a [u32],
+    layout: &'a RowLayout,
+    varlen_cols: &'a [usize],
+}
+
+impl RunHeads for MemHeads<'_> {
+    type Error = Infallible;
+
+    fn exhausted(&self, i: usize) -> bool {
+        self.spans[i].pos >= self.spans[i].end
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        self.runs[i].key(self.spans[i].pos)
+    }
+
+    fn code(&self, i: usize) -> u64 {
+        self.spans[i].code
+    }
+
+    fn row(&self, i: usize) -> (&[u8], &[u8]) {
+        let payload = &self.runs[i].payload;
+        (payload.row(self.spans[i].pos), payload.heap())
+    }
+
+    fn emit(&self, i: usize, slot: &mut [u8], _heap: &mut HeapOut<'_>) -> Result<(), Infallible> {
+        copy_small(slot, self.runs[i].payload.row(self.spans[i].pos));
+        let shift = self.heap_base[i];
+        if shift == 0 {
+            return Ok(());
+        }
+        for &c in self.varlen_cols {
+            if slot[self.layout.null_offset(c)] != 0 {
+                continue;
+            }
+            let at = self.layout.offset(c);
+            let off = u32::from_le_bytes(word::<4>(slot, at)) + shift;
+            slot[at..at + 4].copy_from_slice(&off.to_le_bytes());
+        }
+        Ok(())
+    }
+
+    fn advance(&mut self, i: usize) -> Result<(), Infallible> {
+        let span = &mut self.spans[i];
+        span.pos += 1;
+        // The run-stored code is relative to the row just emitted.
+        span.code = crate::ovc::read_code(&self.runs[i].ovc, span.pos);
+        Ok(())
+    }
+}
+
+/// Reusable merge-phase state (partition plan and per-range trees).
+#[derive(Default)]
+struct MergeScratch {
+    samples: Vec<u8>,
+    sample_order: Vec<u32>,
+    splitters: Vec<u8>,
+    /// `cuts[r * (parts + 1) + p]`: run `r`'s first row in range `p`.
+    cuts: Vec<usize>,
+    /// Output rows before range `p`.
+    row_base: Vec<usize>,
+    heap_base: Vec<u32>,
+    ranges: Vec<Mutex<RangeScratch>>,
+}
+
+/// One range's run spans and loser trees.
+#[derive(Default)]
+struct RangeScratch {
+    spans: Vec<RunSpan>,
+    trees: Trees,
 }
 
 /// Reusable per-sort working state, retained inside the pipeline so a
@@ -176,18 +226,11 @@ struct Scratch {
     /// layout would no longer match).
     key_stats: Vec<usize>,
     /// Morsel-indexed run slots: worker `m` writes run `m` here, so run
-    /// order (and thus merge pairing) is schedule-independent.
+    /// order (and thus the merge's tie order) is schedule-independent.
     run_slots: Vec<Mutex<Option<SortedRun>>>,
-    /// Current merge round, in deterministic order.
+    /// The runs to merge, in morsel order.
     runs: Vec<SortedRun>,
-    next_round: Vec<SortedRun>,
-    jobs: Vec<MergeJob>,
-    /// Coded k-way merge state (single-threaded OVC sorts, DESIGN.md
-    /// §10.2): the loser tree plus per-run cursor/heap-base scratch, all
-    /// reused so the steady state allocates nothing.
-    kway_tree: Option<OvcLoserTree>,
-    kway_idx: Vec<std::cell::Cell<usize>>,
-    kway_heap_base: Vec<u32>,
+    merge: MergeScratch,
     /// Pooled key blocks (kept whole to also reuse their layout planning).
     key_blocks: Mutex<Vec<KeyBlock>>,
 }
@@ -217,37 +260,6 @@ fn copy_small(dst: &mut [u8], src: &[u8]) {
         dst[n - 4..].copy_from_slice(&b.to_ne_bytes());
     } else {
         dst.copy_from_slice(src);
-    }
-}
-
-/// Lexicographically compare two equal-length byte-comparable keys with
-/// big-endian word loads instead of a `memcmp` call. Overlapping windows
-/// are sound here: when the leading window ties, the overlapped bytes are
-/// known equal, so comparing the trailing window compares the remainder.
-#[inline]
-fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n >= 4 && n <= 8 {
-        let a0 = u32::from_be_bytes(word::<4>(a, 0));
-        let b0 = u32::from_be_bytes(word::<4>(b, 0));
-        if a0 != b0 {
-            return a0.cmp(&b0);
-        }
-        let a1 = u32::from_be_bytes(word::<4>(a, n - 4));
-        let b1 = u32::from_be_bytes(word::<4>(b, n - 4));
-        a1.cmp(&b1)
-    } else if n > 8 && n <= 16 {
-        let a0 = u64::from_be_bytes(word::<8>(a, 0));
-        let b0 = u64::from_be_bytes(word::<8>(b, 0));
-        if a0 != b0 {
-            return a0.cmp(&b0);
-        }
-        let a1 = u64::from_be_bytes(word::<8>(a, n - 8));
-        let b1 = u64::from_be_bytes(word::<8>(b, n - 8));
-        a1.cmp(&b1)
-    } else {
-        a.cmp(b)
     }
 }
 
@@ -345,7 +357,7 @@ impl SortPipeline {
         if input.is_empty() {
             return SortedRows {
                 pipeline: self,
-                run: None,
+                block: None,
             };
         }
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
@@ -376,7 +388,7 @@ impl SortPipeline {
             let _gen = self.metrics.time_phase(Phase::RunGeneration);
             self.generate_runs(input, scratch);
         }
-        let run = {
+        let block = {
             let _merge = self.metrics.time_phase(Phase::Merge);
             self.merge_runs(scratch)
         };
@@ -391,7 +403,7 @@ impl SortPipeline {
         emit_trace(&profile);
         SortedRows {
             pipeline: self,
-            run: Some(run),
+            block: Some(block),
         }
     }
 
@@ -580,628 +592,135 @@ impl SortPipeline {
         }
     }
 
-    /// Phase 2: cascaded 2-way merge until one run remains. Pairing is
-    /// deterministic — adjacent runs merge in order, an odd run carries
-    /// over to the next round *last* — and each round's merges execute as
-    /// a flat `pairs × parts` task grid on the worker pool.
-    fn merge_runs(&self, scratch: &mut Scratch) -> SortedRun {
+    /// Phase 2: merge every run in one k-way pass (DESIGN.md §10.2),
+    /// cut into key ranges that the workers merge in parallel. The pass
+    /// is the last one, so it writes payload rows only — no key or code
+    /// column.
+    fn merge_runs(&self, scratch: &mut Scratch) -> RowBlock {
         let Scratch {
             ref mut runs,
-            ref mut next_round,
-            ref mut jobs,
-            ref mut kway_tree,
-            ref mut kway_idx,
-            ref mut kway_heap_base,
+            merge: ref mut ms,
             ..
         } = *scratch;
-        assert!(!runs.is_empty());
+        if runs.len() == 1 {
+            if let Some(run) = runs.pop() {
+                self.pool.put_bytes(run.keys);
+                if run.ovc.capacity() > 0 {
+                    self.pool.put_bytes(run.ovc);
+                }
+                return run.payload;
+            }
+        }
         let width = self.layout.width();
-        let kw0 = runs.first().map_or(0, |r| r.key_width);
-        // Hoisted merge state: every task of every round shares the key
-        // width, row width, and tie/OVC setup, so derive them once here
-        // instead of per merge_task call.
-        let base_ctx = MergeCtx {
-            kw: kw0,
-            width,
-            tie_possible: kw0 > 0 && self.tie_possible(),
-            use_ovc: self.options.ovc && kw0 > 0,
-            emit_codes: true,
-            arity: crate::ovc::word_count(kw0),
+        let kw = runs.first().map_or(0, |r| r.key_width);
+        let k = runs.len();
+        let total: usize = runs.iter().map(SortedRun::len).sum();
+        let parts = merge::plan_parts(self.options.threads, kw, k, total);
+        let order = MergeOrder {
+            kw,
+            tie: (kw > 0 && self.tie_possible()).then_some(&self.tie_cmp),
+            ovc: self.options.ovc && kw > 0,
         };
 
-        // Single-threaded coded sorts take one k-way tree-of-losers pass
-        // instead of the cascade: the cascade re-moves every row per
-        // round to keep Merge Path partitions parallelizable, which one
-        // worker cannot exploit, while offset-value codes collapse the
-        // k-way comparator cost that made binary merges attractive in
-        // the first place — so rows move once and ⌈log₂ k⌉ coded
-        // compares replace ⌈log₂ k⌉ full-key compares (DESIGN.md §10.2).
-        if base_ctx.use_ovc && self.options.threads == 1 && runs.len() > 2 {
-            return self.merge_kway_ovc(
-                runs,
-                kway_tree.get_or_insert_with(OvcLoserTree::empty),
-                kway_idx,
-                kway_heap_base,
-                base_ctx,
+        ms.splitters.clear();
+        if parts > 1 {
+            ms.samples.clear();
+            for run in runs.iter() {
+                merge::sample_keys(run.len(), |i| run.key(i), &mut ms.samples);
+            }
+            merge::choose_splitters(
+                &ms.samples,
+                kw,
+                parts,
+                &mut ms.sample_order,
+                &mut ms.splitters,
             );
         }
-
-        while runs.len() > 1 {
-            // The last round's output is the sort's result: its code
-            // column would never be read, so don't produce it.
-            let ctx = MergeCtx {
-                emit_codes: runs.len() > 2,
-                ..base_ctx
-            };
-            let kw = ctx.kw;
-            let pairs = runs.len() / 2;
-            next_round.clear();
-            jobs.clear();
-            for p in 0..pairs {
-                let a = &runs[2 * p];
-                let b = &runs[2 * p + 1];
-                let total = a.len() + b.len();
-                let mut keys = self.pool.get_bytes(total * kw);
-                keys.resize(total * kw, 0);
-                let mut data = self.pool.get_bytes(total * width);
-                data.resize(total * width, 0);
-                // The merged heap is a.heap ++ b.heap: run heaps are fully
-                // referenced, so concatenation (plus an offset shift on
-                // b-side rows) replaces per-row heap compaction.
-                let mut heap = self
-                    .pool
-                    .get_bytes(a.payload.heap().len() + b.payload.heap().len());
-                heap.extend_from_slice(a.payload.heap());
-                heap.extend_from_slice(b.payload.heap());
-                let heap_shift = a.payload.heap().len() as u32;
-                // The output's OVC column is produced by the merge itself:
-                // each emitted row's current code is already relative to
-                // the row emitted before it (DESIGN.md §10.2).
-                let ovc = if ctx.use_ovc && ctx.emit_codes {
-                    let mut ovc = self.pool.get_bytes(total * 8);
-                    ovc.resize(total * 8, 0);
-                    ovc
-                } else {
-                    Vec::new()
-                };
-                let mut out = SortedRun {
-                    keys,
-                    key_width: kw,
-                    ovc,
-                    payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
-                };
-                jobs.push(MergeJob {
-                    a: 2 * p,
-                    b: 2 * p + 1,
-                    out_keys: SendPtr::new(out.keys.as_mut_ptr()),
-                    out_rows: SendPtr::new(out.payload.data_mut().as_mut_ptr()),
-                    out_ovc: SendPtr::new(out.ovc.as_mut_ptr()),
-                    total,
-                    heap_shift,
-                });
-                next_round.push(out);
+        ms.cuts.clear();
+        for run in runs.iter() {
+            ms.cuts.push(0);
+            for p in 1..parts {
+                let splitter = &ms.splitters[(p - 1) * kw..p * kw];
+                ms.cuts
+                    .push(merge::lower_bound(run.len(), |i| run.key(i), splitter));
             }
-
-            // Flat task grid: every pair is split into `parts` Merge Path
-            // partitions; workers claim (pair, part) tasks dynamically.
-            let parts = self.options.threads.div_ceil(pairs);
-            let tasks = pairs * parts;
-            let next = AtomicUsize::new(0);
-            let runs_ref: &[SortedRun] = runs;
-            let jobs_ref: &[MergeJob] = jobs;
-            let body = |_worker: usize| loop {
-                let t = next.fetch_add(1, AtomicOrdering::Relaxed);
-                if t >= tasks {
-                    break;
-                }
-                self.merge_task(runs_ref, &jobs_ref[t / parts], t % parts, parts, ctx);
-            };
-            if self.options.threads == 1 || tasks == 1 {
-                body(0);
-            } else {
-                self.worker_pool().broadcast(&body);
-            }
-            if ctx.use_ovc && ctx.emit_codes && parts > 1 {
-                // Partition seams: a task other than the first sees no
-                // predecessor row, so it seeds codes relative to −∞ and
-                // its first output code is coded against the wrong base.
-                // Re-derive those few codes (one per interior seam)
-                // against the true predecessor now that both sides of
-                // every seam are written.
-                for (job, out) in jobs.iter().zip(next_round.iter_mut()) {
-                    for part in 1..parts {
-                        let d0 = job.total * part / parts;
-                        if d0 == 0 || d0 >= job.total {
-                            continue;
-                        }
-                        let (Some(prev), Some(cur)) = (
-                            out.keys.get((d0 - 1) * kw..d0 * kw),
-                            out.keys.get(d0 * kw..(d0 + 1) * kw),
-                        ) else {
-                            continue;
-                        };
-                        let code = crate::ovc::code_rel(cur, prev, ctx.arity);
-                        if let Some(slot) = out.ovc.get_mut(d0 * 8..(d0 + 1) * 8) {
-                            slot.copy_from_slice(&code.to_le_bytes());
-                        }
-                    }
-                }
-            }
-            self.metrics.add(Counter::MergeRounds, 1);
-            self.metrics.add(Counter::MergeTasks, tasks as u64);
-            let round_bytes: usize = jobs.iter().map(|j| j.total * (kw + width)).sum();
-            self.metrics.add(Counter::BytesMoved, round_bytes as u64);
-
-            // Recycle this round's inputs; any odd run carries over last.
-            let odd = if runs.len() % 2 == 1 {
-                runs.pop()
-            } else {
-                None
-            };
-            for run in runs.drain(..) {
-                self.recycle_run(run);
-            }
-            if let Some(odd) = odd {
-                next_round.push(odd);
-            }
-            std::mem::swap(runs, next_round);
+            ms.cuts.push(run.len());
         }
-        // lint:allow(R010): the entry assert guarantees `runs` is
-        // non-empty and each cascade round halves it toward one.
-        runs.pop().expect("cascade leaves exactly one run")
-    }
+        ms.row_base.clear();
+        for p in 0..=parts {
+            let before: usize = (0..k).map(|r| ms.cuts[r * (parts + 1) + p]).sum();
+            ms.row_base.push(before);
+        }
 
-    /// Merge all runs in one coded tree-of-losers pass (DESIGN.md §10.2).
-    ///
-    /// The cascade's structure — ⌈log₂ k⌉ rounds that each re-copy every
-    /// key and row — exists to give Merge Path partitions to parallel
-    /// workers. A single-threaded sort gets nothing back for that
-    /// movement, and with offset-value codes a k-way comparator costs
-    /// ~one `u64` compare per tree level, so this path moves each row
-    /// exactly once and replaces the cascade's repeated full-key work
-    /// with ⌈log₂ k⌉ coded matches per emitted row.
-    ///
-    /// Output order is bit-identical to the cascade's: both are stable
-    /// merges by run index (the cascade lets the left/earlier run win
-    /// ties at every round; here a full tie goes to the lower leaf), and
-    /// the output heap is the same run-order concatenation.
-    fn merge_kway_ovc(
-        &self,
-        runs: &mut Vec<SortedRun>,
-        tree: &mut OvcLoserTree,
-        idx: &mut Vec<std::cell::Cell<usize>>,
-        heap_base: &mut Vec<u32>,
-        ctx: MergeCtx,
-    ) -> SortedRun {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            arity,
-            ..
-        } = ctx;
-        let k = runs.len();
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-
-        let mut keys = self.pool.get_bytes(total * kw);
-        keys.resize(total * kw, 0);
-        let mut data = self.pool.get_bytes(total * width);
-        data.resize(total * width, 0);
-        // Output heap = run heaps concatenated in run order (matching the
-        // cascade's a.heap ++ b.heap at every level); rows from run `w`
-        // get their heap offsets shifted by that run's base.
         let heap_bytes: usize = runs.iter().map(|r| r.payload.heap().len()).sum();
         let mut heap = self.pool.get_bytes(heap_bytes);
-        heap_base.clear();
+        ms.heap_base.clear();
         for run in runs.iter() {
-            heap_base.push(heap.len() as u32);
+            ms.heap_base.push(heap.len() as u32);
             heap.extend_from_slice(run.payload.heap());
         }
-
-        // Per-run cursors live in `Cell`s so the tree's play closure can
-        // read head positions while the emit loop advances them — no
-        // aliasing `&mut` into shared state.
-        idx.clear();
-        idx.resize(k, std::cell::Cell::new(0));
-
-        // Comparator-work counters, accumulated locally (`Cell` because
-        // the tree closures borrow them shared) and flushed once.
-        let cmps = std::cell::Cell::new(0u64);
-        let resolved = std::cell::Cell::new(0u64);
-        let key_bytes = std::cell::Cell::new(0u64);
-
-        let runs_ref: &[SortedRun] = runs;
-        let idx_ref: &[std::cell::Cell<usize>] = idx;
-        // One match under OVC: codes decide outright when they differ;
-        // suffix bytes are only touched on a code tie; the row tiebreak
-        // runs only on full key equality, and a full tie goes to the
-        // lower run index (the cascade's stability rule).
-        let mut play = |a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-            let (ia, ib) = (idx_ref[a].get(), idx_ref[b].get());
-            let ka = &runs_ref[a].keys[ia * kw..(ia + 1) * kw];
-            let kb = &runs_ref[b].keys[ib * kw..(ib + 1) * kw];
-            let r = crate::ovc::compare_update(ka, ca, kb, cb, arity);
-            cmps.set(cmps.get() + 1);
-            resolved.set(resolved.get() + u64::from(r.resolved));
-            key_bytes.set(key_bytes.get() + r.key_bytes);
-            let ord = match r.ord {
-                Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                    runs_ref[a].payload.row(ia),
-                    runs_ref[a].payload.heap(),
-                    runs_ref[b].payload.row(ib),
-                    runs_ref[b].payload.heap(),
-                ),
-                ord => ord,
-            };
-            let a_beats_b = match ord {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => a < b,
-            };
-            OvcMatch {
-                a_beats_b,
-                loser_code: r.loser_code,
-            }
-        };
-        let mut is_ex = |i: usize| idx_ref[i].get() >= runs_ref[i].len();
-        // Run-stored codes for row 0 are relative to −∞ — the common base
-        // the tournament needs.
-        tree.rebuild(
-            k,
-            |i| crate::ovc::read_code(&runs_ref[i].ovc, 0),
-            &mut is_ex,
-            &mut play,
-        );
-
-        let mut key_out = keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = data.chunks_exact_mut(width);
-        let fix_heap = !self.varlen_cols.is_empty();
-        for _ in 0..total {
-            let w = tree.winner();
-            let i = idx_ref[w].get();
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &runs_ref[w].keys[i * kw..(i + 1) * kw]);
-            }
-            // lint:allow(R002, R010): the iterator yields exactly `total`
-            // rows (`data` is sized `total * width` above).
-            let out_row = row_out.next().expect("output sized to total");
-            copy_small(out_row, runs_ref[w].payload.row(i));
-            let shift = heap_base[w];
-            if fix_heap && shift != 0 {
-                self.shift_heap_offsets(out_row, shift);
-            }
-            idx_ref[w].set(i + 1);
-            // The new head's run-stored code is relative to the row just
-            // emitted — the same base every resident loser on this leaf's
-            // root path was re-coded against.
-            let leaf_code = if idx_ref[w].get() >= runs_ref[w].len() {
-                u64::MAX
-            } else {
-                crate::ovc::read_code(&runs_ref[w].ovc, idx_ref[w].get())
-            };
-            tree.replay(w, leaf_code, &mut is_ex, &mut play);
+        let mut data = self.pool.get_bytes(total * width);
+        data.resize(total * width, 0);
+        if ms.ranges.len() < parts {
+            ms.ranges.resize_with(parts, Default::default);
         }
 
-        self.metrics.add(Counter::MergeCmps, cmps.get());
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, resolved.get());
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, key_bytes.get());
+        let MergeScratch {
+            ref cuts,
+            ref row_base,
+            ref heap_base,
+            ref ranges,
+            ..
+        } = *ms;
+        let runs_ref: &[SortedRun] = runs;
+        let arity = crate::ovc::word_count(kw);
+        let merge_one = |p: usize, [out]: [&mut [u8]; 1]| -> Result<(), Infallible> {
+            let mut range = ranges[p].lock().unwrap_or_else(|e| e.into_inner());
+            let RangeScratch { spans, trees } = &mut *range;
+            spans.clear();
+            for (r, run) in runs_ref.iter().enumerate() {
+                let (pos, end) = (cuts[r * (parts + 1) + p], cuts[r * (parts + 1) + p + 1]);
+                // A range's first head is coded against −∞: its stored
+                // code is relative to a row that may sit in another range.
+                let code = if order.ovc && pos < end {
+                    crate::ovc::initial_code(run.key(pos), arity)
+                } else {
+                    0
+                };
+                spans.push(RunSpan { pos, end, code });
+            }
+            let mut heads = MemHeads {
+                runs: runs_ref,
+                spans,
+                heap_base,
+                layout: &self.layout,
+                varlen_cols: &self.varlen_cols,
+            };
+            let mut no_heap = HeapOut {
+                buf: &mut [],
+                pos: 0,
+                base: 0,
+            };
+            let stats = merge::merge_range(&mut heads, k, order, trees, out, width, &mut no_heap)?;
+            stats.record(&self.metrics);
+            Ok(())
+        };
+        let workers = (parts > 1).then(|| self.worker_pool());
+        let area = Area {
+            buf: &mut data,
+            base: row_base,
+            unit: width,
+        };
+        let Ok(()) = merge::for_each_range(workers, parts, [area], &merge_one);
         self.metrics.add(Counter::MergeRounds, 1);
-        self.metrics.add(Counter::MergeTasks, 1);
+        self.metrics.add(Counter::MergeTasks, parts as u64);
         self.metrics
-            .add(Counter::BytesMoved, (total * (kw + width)) as u64);
+            .add(Counter::BytesMoved, (total * width) as u64);
 
         for run in runs.drain(..) {
             self.recycle_run(run);
         }
-        SortedRun {
-            keys,
-            key_width: kw,
-            ovc: Vec::new(),
-            payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
-        }
-    }
-
-    /// Execute Merge Path partition `part` of `parts` for one 2-way merge:
-    /// binary-search the partition bounds, then write merged keys and
-    /// payload rows directly into the job's output range (pick generation
-    /// fused with materialization — no intermediate pick list).
-    fn merge_task(
-        &self,
-        runs: &[SortedRun],
-        job: &MergeJob,
-        part: usize,
-        parts: usize,
-        ctx: MergeCtx,
-    ) {
-        let a = &runs[job.a];
-        let b = &runs[job.b];
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            ..
-        } = ctx;
-        let (na, nb) = (a.len(), b.len());
-        let cmp = |i: usize, j: usize| -> Ordering {
-            let ka = &a.keys[i * kw..(i + 1) * kw];
-            let kb = &b.keys[j * kw..(j + 1) * kw];
-            match cmp_keys(ka, kb) {
-                Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                    a.payload.row(i),
-                    a.payload.heap(),
-                    b.payload.row(j),
-                    b.payload.heap(),
-                ),
-                ord => ord,
-            }
-        };
-
-        let d0 = job.total * part / parts;
-        let d1 = job.total * (part + 1) / parts;
-        if d0 == d1 {
-            return;
-        }
-        let (a0, b0) = merge_path_partition_by(na, nb, d0, |j, i| {
-            cmp(i, j) == Ordering::Greater // b[j] < a[i]
-        });
-        let (a1, b1) = merge_path_partition_by(na, nb, d1, |j, i| cmp(i, j) == Ordering::Greater);
-
-        // SAFETY: Merge Path bounds are exact — partition `part` produces
-        // output rows `d0..d1` and no other partition writes them, so the
-        // slice carved out of `job.out_keys` below is disjoint between
-        // tasks; the backing buffer is sized `total * kw` and owned by
-        // `next_round`, which outlives the phase.
-        let out_keys = unsafe {
-            std::slice::from_raw_parts_mut(job.out_keys.get().add(d0 * kw), (d1 - d0) * kw)
-        };
-        // SAFETY: same disjointness argument on `job.out_rows` — the row
-        // buffer is sized `total * width` and outlives the phase.
-        let out_rows = unsafe {
-            std::slice::from_raw_parts_mut(job.out_rows.get().add(d0 * width), (d1 - d0) * width)
-        };
-
-        if ctx.use_ovc {
-            // On the final round no code column exists (the job pointer is
-            // dangling), so the partition gets an empty slice and stores
-            // nothing.
-            let out_ovc = if ctx.emit_codes {
-                // SAFETY: same disjointness argument on `job.out_ovc` — the
-                // code column is sized `total * 8`, rows `d0..d1` belong to
-                // this partition only, and the buffer lives in `next_round`
-                // until the phase (and its seam fixup) completes.
-                unsafe {
-                    std::slice::from_raw_parts_mut(job.out_ovc.get().add(d0 * 8), (d1 - d0) * 8)
-                }
-            } else {
-                &mut [][..]
-            };
-            self.merge_partition_ovc(
-                a,
-                b,
-                job,
-                ctx,
-                (a0, a1),
-                (b0, b1),
-                out_keys,
-                out_rows,
-                out_ovc,
-            );
-        } else {
-            self.merge_partition(a, b, job, ctx, (a0, a1), (b0, b1), out_keys, out_rows);
-        }
-    }
-
-    /// The plain (OVC-off) merge loop for one Merge Path partition: every
-    /// comparison is a fresh whole-key `cmp_keys`.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_partition(
-        &self,
-        a: &SortedRun,
-        b: &SortedRun,
-        job: &MergeJob,
-        ctx: MergeCtx,
-        (a0, a1): (usize, usize),
-        (b0, b1): (usize, usize),
-        out_keys: &mut [u8],
-        out_rows: &mut [u8],
-    ) {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            ..
-        } = ctx;
-        let (a_keys, b_keys) = (&a.keys, &b.keys);
-        let (a_rows, b_rows) = (a.payload.data(), b.payload.data());
-        let (mut i, mut j) = (a0, b0);
-        let rows = out_rows.len() / width;
-        let mut key_out = out_keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = out_rows.chunks_exact_mut(width);
-        let fix_heap = job.heap_shift != 0 && !self.varlen_cols.is_empty();
-        // Counters are batched locally and added once: a relaxed atomic
-        // add per output row would put contended cache lines in the
-        // hottest loop of the pipeline.
-        let mut cmps = 0u64;
-        for _ in 0..rows {
-            // Selection and index advance are arithmetic, not control flow:
-            // on random keys `take_b` is a coin flip, so a branchy merge
-            // pays a misprediction per output row.
-            let in_both = i < a1 && j < b1;
-            cmps += u64::from(in_both);
-            let take_b = i >= a1
-                || (in_both && {
-                    let ka = &a_keys[i * kw..(i + 1) * kw];
-                    let kb = &b_keys[j * kw..(j + 1) * kw];
-                    let ord = match cmp_keys(ka, kb) {
-                        Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                            a.payload.row(i),
-                            a.payload.heap(),
-                            b.payload.row(j),
-                            b.payload.heap(),
-                        ),
-                        ord => ord,
-                    };
-                    ord == Ordering::Greater
-                });
-            let (src_keys, src_rows, r) = if take_b {
-                (b_keys, b_rows, j)
-            } else {
-                (a_keys, a_rows, i)
-            };
-            j += take_b as usize;
-            i += !take_b as usize;
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
-            }
-            // lint:allow(R002, R010): the iterator yields d1-d0 rows by
-            // construction; see the SAFETY disjointness argument above.
-            let out_row = row_out.next().expect("output sized to partition");
-            copy_small(out_row, &src_rows[r * width..(r + 1) * width]);
-            if fix_heap && take_b {
-                self.shift_heap_offsets(out_row, job.heap_shift);
-            }
-        }
-        self.metrics.add(Counter::MergeCmps, cmps);
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, cmps * 2 * kw as u64);
-    }
-
-    /// The OVC merge loop for one Merge Path partition (DESIGN.md §10.2).
-    ///
-    /// Both sides carry a code relative to the last emitted row: the
-    /// winner's successor inherits its code from the run's precomputed
-    /// column (its predecessor *is* the row just emitted), and the loser
-    /// is re-coded by the comparison itself — so in steady state no key
-    /// prefix is ever re-scanned. Each emitted row's current code is also
-    /// written to the output column, which is exactly the next round's
-    /// input column: codes propagate through the whole cascade for free.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_partition_ovc(
-        &self,
-        a: &SortedRun,
-        b: &SortedRun,
-        job: &MergeJob,
-        ctx: MergeCtx,
-        (a0, a1): (usize, usize),
-        (b0, b1): (usize, usize),
-        out_keys: &mut [u8],
-        out_rows: &mut [u8],
-        out_ovc: &mut [u8],
-    ) {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            arity,
-            ..
-        } = ctx;
-        let (a_keys, b_keys) = (&a.keys, &b.keys);
-        let (a_rows, b_rows) = (a.payload.data(), b.payload.data());
-        let (mut i, mut j) = (a0, b0);
-        let rows = out_rows.len() / width;
-        let mut key_out = out_keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = out_rows.chunks_exact_mut(width);
-        let mut ovc_out = out_ovc.chunks_exact_mut(8);
-        let fix_heap = job.heap_shift != 0 && !self.varlen_cols.is_empty();
-        // Partition heads are coded relative to −∞ (they have no common
-        // emitted predecessor yet); interior partitions' first output
-        // code is later corrected by the seam fixup in `merge_runs`.
-        let mut code_a = if i < a1 {
-            crate::ovc::initial_code(&a_keys[i * kw..(i + 1) * kw], arity)
-        } else {
-            0
-        };
-        let mut code_b = if j < b1 {
-            crate::ovc::initial_code(&b_keys[j * kw..(j + 1) * kw], arity)
-        } else {
-            0
-        };
-        let (mut cmps, mut resolved, mut bytes) = (0u64, 0u64, 0u64);
-        for _ in 0..rows {
-            let take_b = if i >= a1 {
-                true
-            } else if j >= b1 {
-                false
-            } else {
-                cmps += 1;
-                let ka = &a_keys[i * kw..(i + 1) * kw];
-                let kb = &b_keys[j * kw..(j + 1) * kw];
-                let r = crate::ovc::compare_update(ka, code_a, kb, code_b, arity);
-                resolved += u64::from(r.resolved);
-                bytes += r.key_bytes;
-                let ord = match r.ord {
-                    Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                        a.payload.row(i),
-                        a.payload.heap(),
-                        b.payload.row(j),
-                        b.payload.heap(),
-                    ),
-                    ord => ord,
-                };
-                let take_b = ord == Ordering::Greater;
-                // The loser's code is now relative to the winner — the
-                // row about to be emitted — keeping the same-base
-                // invariant for the next comparison. Value selects, not
-                // branches: `take_b` is a coin flip on real data.
-                code_a = if take_b { r.loser_code } else { code_a };
-                code_b = if take_b { code_b } else { r.loser_code };
-                take_b
-            };
-            let (src_keys, src_rows, r) = if take_b {
-                (b_keys, b_rows, j)
-            } else {
-                (a_keys, a_rows, i)
-            };
-            if let Some(dst) = ovc_out.next() {
-                let code = if take_b { code_b } else { code_a };
-                dst.copy_from_slice(&code.to_le_bytes());
-            }
-            j += take_b as usize;
-            i += !take_b as usize;
-            // The winner's successor's stored run code is relative to its
-            // in-run predecessor — the row just emitted — so it is valid
-            // as-is; no scan needed. Both columns are read unconditionally
-            // (`read_code` is total, returning 0 past the end, and a
-            // stale/garbage code on an exhausted side is never compared
-            // again) so the update is a select instead of a mispredicted
-            // branch.
-            let next_a = crate::ovc::read_code(&a.ovc, i);
-            let next_b = crate::ovc::read_code(&b.ovc, j);
-            code_a = if take_b { code_a } else { next_a };
-            code_b = if take_b { next_b } else { code_b };
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
-            }
-            // lint:allow(R002, R010): the iterator yields d1-d0 rows by
-            // construction; see the SAFETY disjointness argument above.
-            let out_row = row_out.next().expect("output sized to partition");
-            copy_small(out_row, &src_rows[r * width..(r + 1) * width]);
-            if fix_heap && take_b {
-                self.shift_heap_offsets(out_row, job.heap_shift);
-            }
-        }
-        self.metrics.add(Counter::MergeCmps, cmps);
-        self.metrics.add(Counter::MergeCmpsOvcResolved, resolved);
-        self.metrics.add(Counter::MergeKeyBytesTouched, bytes);
-    }
-
-    /// Rebase a merged row's VARCHAR heap offsets after its strings moved
-    /// to `heap_shift` bytes later in the concatenated output heap.
-    #[inline]
-    fn shift_heap_offsets(&self, out_row: &mut [u8], heap_shift: u32) {
-        // b-side strings now live after a's heap: shift offsets.
-        for &c in &self.varlen_cols {
-            if out_row[self.layout.null_offset(c)] != 0 {
-                continue;
-            }
-            let at = self.layout.offset(c);
-            let mut slot = [0u8; 4];
-            slot.copy_from_slice(&out_row[at..at + 4]);
-            let off = u32::from_le_bytes(slot) + heap_shift;
-            out_row[at..at + 4].copy_from_slice(&off.to_le_bytes());
-        }
+        RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap)
     }
 
     /// Return a run's buffers to the pool.
@@ -1210,7 +729,11 @@ impl SortPipeline {
         if run.ovc.capacity() > 0 {
             self.pool.put_bytes(run.ovc);
         }
-        let (data, heap) = run.payload.into_raw_parts();
+        self.recycle_block(run.payload);
+    }
+
+    fn recycle_block(&self, block: RowBlock) {
+        let (data, heap) = block.into_raw_parts();
         self.pool.put_bytes(data);
         self.pool.put_bytes(heap);
     }
@@ -1228,13 +751,13 @@ impl SortPipeline {
 /// sorts allocation-free.
 pub struct SortedRows<'a> {
     pipeline: &'a SortPipeline,
-    run: Option<SortedRun>,
+    block: Option<RowBlock>,
 }
 
 impl SortedRows<'_> {
     /// Number of sorted rows.
     pub fn len(&self) -> usize {
-        self.run.as_ref().map_or(0, |r| r.len())
+        self.block.as_ref().map_or(0, RowBlock::len)
     }
 
     /// `true` iff the input held no rows.
@@ -1244,13 +767,13 @@ impl SortedRows<'_> {
 
     /// The sorted payload rows (`None` for an empty input).
     pub fn payload(&self) -> Option<&RowBlock> {
-        self.run.as_ref().map(|r| &r.payload)
+        self.block.as_ref()
     }
 
     /// Convert back to vectors (NSM → DSM); the pipeline's final step.
     pub fn to_chunk(&self) -> DataChunk {
-        match &self.run {
-            Some(run) => run.payload.to_chunk(),
+        match &self.block {
+            Some(block) => block.to_chunk(),
             None => DataChunk::new(&self.pipeline.types),
         }
     }
@@ -1258,8 +781,8 @@ impl SortedRows<'_> {
 
 impl Drop for SortedRows<'_> {
     fn drop(&mut self) {
-        if let Some(run) = self.run.take() {
-            self.pipeline.recycle_run(run);
+        if let Some(block) = self.block.take() {
+            self.pipeline.recycle_block(block);
         }
     }
 }
@@ -1280,6 +803,7 @@ pub fn sort_u32_columns(cols: Vec<Vec<u32>>, options: SortOptions) -> DataChunk 
 mod tests {
     use super::*;
     use rowsort_vector::{OrderByColumn, SortSpec, Value};
+    use std::cmp::Ordering;
 
     fn reference_sort(chunk: &DataChunk, order: &OrderBy) -> Vec<Vec<Value>> {
         let mut rows = chunk.to_rows();
@@ -1384,40 +908,105 @@ mod tests {
     #[test]
     fn output_bit_identical_across_thread_counts() {
         // Non-key payload creates observable tie order: with morsel-slot
-        // runs, fixed pairing, and exact Merge Path partitions, the whole
-        // output (tie order included) must match for any thread count.
-        let keys = pseudo_random(9_000, 21, 40); // heavy ties
-        let payload: Vec<u32> = (0..9_000).collect();
-        let chunk =
-            DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
-                .unwrap();
+        // runs, ties to the lower run index, and merge ranges cut at key
+        // lower bounds, the whole output (tie order and heap included)
+        // must match for any thread count, with codes on or off.
+        let n = 9_000;
+        let payload: Vec<u32> = (0..n as u32).collect();
+        // Heavy ties.
+        let u32_ties = DataChunk::from_columns(vec![
+            Vector::from_u32s(pseudo_random(n, 21, 40)),
+            Vector::from_u32s(payload.clone()),
+        ])
+        .unwrap();
+        // Heavy-duplicate INT keys: every splitter sits inside a tie group.
+        let int_dups = DataChunk::from_columns(vec![
+            Vector::from_i32s(
+                pseudo_random(n, 22, 5)
+                    .iter()
+                    .map(|&v| v as i32 - 2)
+                    .collect(),
+            ),
+            Vector::from_u32s(payload.clone()),
+        ])
+        .unwrap();
+        // Keys ~256 apart within a run: about half of the range heads
+        // share their leading key word with their in-run predecessor, so
+        // a head left coded against that predecessor (not −∞) would
+        // mis-order the range.
+        let near_keys = DataChunk::from_columns(vec![
+            Vector::from_u32s(pseudo_random(n, 25, 1 << 17)),
+            Vector::from_u32s(payload.clone()),
+        ])
+        .unwrap();
+        // All-NULL keys: every splitter is the same key.
+        let mut all_null = DataChunk::new(&[LogicalType::Int32, LogicalType::UInt32]);
+        for &p in &payload {
+            all_null.push_row(&[Value::Null, Value::UInt32(p)]).unwrap();
+        }
+        // Truncated-VARCHAR ties: three 12-byte prefixes, each shared by
+        // ~3000 rows whose tails differ, so splitters land on byte-equal
+        // keys that only the full-tuple comparator can order.
+        let tails = pseudo_random(n, 23, 1000);
+        let strings: Vec<String> = tails
+            .iter()
+            .enumerate()
+            .map(|(i, t)| format!("{}_shared_prefix_{t:04}", i % 3))
+            .collect();
+        let varchar_ties = DataChunk::from_columns(vec![
+            Vector::from_strings(strings.iter().map(|s| s.as_str())),
+            Vector::from_u32s(payload),
+        ])
+        .unwrap();
         let order = OrderBy::new(vec![OrderByColumn::asc(0)]);
-        let reference = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 1,
-                run_rows: 512,
-                ..SortOptions::default()
-            },
-        )
-        .sort(&chunk);
-        for threads in [2, 3, 4] {
-            let got = SortPipeline::new(
-                chunk.types(),
-                order.clone(),
-                SortOptions {
-                    threads,
-                    run_rows: 512,
-                    ..SortOptions::default()
-                },
-            )
-            .sort(&chunk);
-            assert_eq!(
-                reference.to_rows(),
-                got.to_rows(),
-                "threads={threads} diverged from single-threaded output"
+        for (name, chunk) in [
+            ("u32_ties", &u32_ties),
+            ("near_keys", &near_keys),
+            ("int_dups", &int_dups),
+            ("all_null", &all_null),
+            ("varchar_ties", &varchar_ties),
+        ] {
+            let sort = |threads: usize, ovc: bool| {
+                let pipeline = SortPipeline::new(
+                    chunk.types(),
+                    order.clone(),
+                    SortOptions {
+                        threads,
+                        run_rows: 512,
+                        ovc,
+                    },
+                );
+                let sorted = pipeline.sort_rows(chunk);
+                let block = sorted.payload().unwrap();
+                let bytes = (block.data().to_vec(), block.heap().to_vec());
+                drop(sorted);
+                (bytes, pipeline.last_profile().metrics)
+            };
+            let (reference, _) = sort(1, false);
+            assert_sorted_equal(
+                &RowBlock::from_raw_parts(
+                    Arc::new(RowLayout::new(&chunk.types())),
+                    reference.0.clone(),
+                    reference.1.clone(),
+                )
+                .to_chunk(),
+                chunk,
+                &order,
             );
+            for threads in 1..=4 {
+                for ovc in [false, true] {
+                    let (got, m) = sort(threads, ovc);
+                    assert!(
+                        got == reference,
+                        "{name}: threads={threads} ovc={ovc} diverged from single-threaded output"
+                    );
+                    assert_eq!(
+                        m.counter(Counter::MergeTasks),
+                        threads as u64,
+                        "{name}: one merge range per thread"
+                    );
+                }
+            }
         }
     }
 
@@ -1560,8 +1149,8 @@ mod tests {
     }
 
     #[test]
-    fn odd_run_count_cascade() {
-        // 5 runs: cascade must handle the odd carry-over.
+    fn odd_run_count_merge() {
+        // 5 runs: a loser tree padded to 8 leaves.
         let chunk =
             DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(501, 9, 50))]).unwrap();
         let order = OrderBy::ascending(1);
@@ -1642,8 +1231,8 @@ mod tests {
             order.clone(),
             SortOptions {
                 threads: 1,
-                run_rows: 700, // 8 runs → 3 merge rounds
-                ..SortOptions::default()
+                run_rows: 700, // 8 runs, one k-way merge
+                ovc: true,
             },
         );
         let got = pipeline.sort(&chunk);
@@ -1659,29 +1248,15 @@ mod tests {
         assert_eq!(m.counter(Counter::RunsGenerated), 8);
         assert_eq!(m.counter(Counter::RadixSorts), 8, "u32 keys take radix");
         assert!(m.counter(Counter::RadixPasses) >= 8);
-        // Single-threaded coded sorts merge all 8 runs in one k-way
-        // tree-of-losers round; with OVC off the cascade takes log₂ 8.
-        let rounds = if SortOptions::default().ovc { 1 } else { 3 };
-        assert_eq!(m.counter(Counter::MergeRounds), rounds);
-        assert!(m.counter(Counter::MergeTasks) >= rounds);
-        assert!(
-            m.counter(Counter::MergeCmps) > 0,
-            "merge loop counts compares"
-        );
-        assert!(
-            m.counter(Counter::MergeCmpsOvcResolved) <= m.counter(Counter::MergeCmps),
-            "OVC-resolved compares are a subset of all compares"
-        );
-        if SortOptions::default().ovc {
-            // Distinct-heavy u32 keys: the vast majority of merge
-            // comparisons must resolve on the code alone.
-            assert!(
-                m.counter(Counter::MergeCmpsOvcResolved) * 2 > m.counter(Counter::MergeCmps),
-                "OVC resolved {} of {} merge compares",
-                m.counter(Counter::MergeCmpsOvcResolved),
-                m.counter(Counter::MergeCmps)
-            );
-        }
+        // All 8 runs merge in one k-way pass over one range. The
+        // comparator work is exactly that of the coded tree-of-losers pass
+        // single-threaded sorts have always taken; with distinct-heavy u32
+        // keys most comparisons resolve on the code alone.
+        assert_eq!(m.counter(Counter::MergeRounds), 1);
+        assert_eq!(m.counter(Counter::MergeTasks), 1);
+        assert_eq!(m.counter(Counter::MergeCmps), 14_977);
+        assert_eq!(m.counter(Counter::MergeCmpsOvcResolved), 13_239);
+        assert_eq!(m.counter(Counter::MergeKeyBytesTouched), 13_888);
         assert!(m.counter(Counter::BytesMoved) > 0);
         assert!(m.counter(Counter::PoolMisses) > 0, "cold sort allocates");
         assert!(m.phase(Phase::RunGeneration) > 0);
@@ -1726,28 +1301,37 @@ mod tests {
         for threads in [1, 3] {
             let base = SortOptions {
                 threads,
-                run_rows: 600, // 12 runs → 4 merge rounds
+                run_rows: 600, // 12 runs
                 ovc: false,
             };
             let plain = SortPipeline::new(chunk.types(), order.clone(), base).sort(&chunk);
-            let coded = SortPipeline::new(
+            let coded_pipeline = SortPipeline::new(
                 chunk.types(),
                 order.clone(),
                 SortOptions { ovc: true, ..base },
-            )
-            .sort(&chunk);
+            );
+            let coded = coded_pipeline.sort(&chunk);
             assert_eq!(
                 plain.to_rows(),
                 coded.to_rows(),
                 "threads={threads}: OVC merge diverged from plain merge"
             );
+            if threads == 1 {
+                // One range: the comparator work of the single coded
+                // tree-of-losers pass, exactly.
+                let m = coded_pipeline.last_profile().metrics;
+                assert_eq!(m.counter(Counter::MergeCmps), 25_756);
+                assert_eq!(m.counter(Counter::MergeCmpsOvcResolved), 25_745);
+                assert_eq!(m.counter(Counter::MergeKeyBytesTouched), 264);
+            }
         }
     }
 
     #[test]
-    fn strings_survive_multi_round_merges() {
-        // VARCHAR payload across ≥ 2 merge rounds: heap concatenation and
-        // b-side offset shifting must compose across rounds.
+    fn strings_survive_multi_range_merges() {
+        // VARCHAR payload across several runs and merge ranges: the heap
+        // concatenation and per-run offset shifts must keep every string
+        // attached to its row.
         let n = 4_000;
         let keys = pseudo_random(n, 14, 500);
         let strings: Vec<String> = keys.iter().map(|k| format!("val_{k:05}")).collect();
@@ -1762,7 +1346,7 @@ mod tests {
             order.clone(),
             SortOptions {
                 threads: 2,
-                run_rows: 300, // 14 runs → 4 merge rounds
+                run_rows: 300, // 14 runs, 2 merge ranges
                 ..SortOptions::default()
             },
         );

@@ -31,7 +31,7 @@ const MIN_SHIFT: usize = 6;
 /// this fall through to plain allocation.
 const MAX_SHIFT: usize = 34;
 
-/// Retained buffers per size class. Each run/merge round holds only a
+/// Retained buffers per size class. Each run or merge holds only a
 /// handful of buffers per class, so this bounds pool memory while keeping
 /// steady-state hit rates at 100%.
 const SLOTS_PER_CLASS: usize = 64;

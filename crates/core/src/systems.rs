@@ -9,7 +9,7 @@
 //!
 //! | profile | emulates | format | local sort | merge |
 //! |---|---|---|---|---|
-//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys | radix / pdqsort | Merge-Path cascaded 2-way |
+//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys | radix / pdqsort | range-partitioned k-way loser tree (DuckDB cascades 2-way merges; DESIGN.md §2) |
 //! | [`SystemProfile::ColumnarJit`] | ClickHouse | DSM (sorts indices) | radix for a single integer key, else pdqsort tuple-at-a-time | k-way loser tree |
 //! | [`SystemProfile::ColumnarSingle`] | MonetDB | DSM | single-threaded introsort, subsort per column | (single run) |
 //! | [`SystemProfile::CompiledRows`] | HyPer | NSM | pdqsort, fused ("compiled") comparator, sorts pointers | k-way loser tree on pointers, payload gathered at output |
@@ -17,7 +17,7 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::pipeline::{SortOptions, SortPipeline};
-use rowsort_algos::kway::LoserTree;
+use rowsort_algos::kway::kway_merge;
 use rowsort_algos::pdqsort::pdqsort;
 use rowsort_algos::radix::lsd_radix_sort_rows;
 use rowsort_normkey::{encode_column_into, KeyColumn};
@@ -297,31 +297,8 @@ fn columnar_radix_run(input: &DataChunk, order: &OrderBy, lo: usize, hi: usize) 
 }
 
 fn kway_merge_indices(runs: &[Vec<u32>], cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
-    let k = runs.len();
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    if k == 1 {
-        return runs[0].clone();
-    }
-    let mut out = Vec::with_capacity(total);
-    let mut pos = vec![0usize; k];
-    let mut tree = {
-        let pos_ref = &pos;
-        LoserTree::new(
-            k,
-            |i| pos_ref[i] >= runs[i].len(),
-            |a, b| cmp(runs[a][pos_ref[a]], runs[b][pos_ref[b]]) == Ordering::Less,
-        )
-    };
-    for _ in 0..total {
-        let w = tree.winner();
-        out.push(runs[w][pos[w]]);
-        pos[w] += 1;
-        let pos_ref = &pos;
-        tree.replay(w, &mut |i| pos_ref[i] >= runs[i].len(), &mut |a, b| {
-            cmp(runs[a][pos_ref[a]], runs[b][pos_ref[b]]) == Ordering::Less
-        });
-    }
-    out
+    let refs: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+    kway_merge(&refs, &mut |&a, &b| cmp(a, b) == Ordering::Less)
 }
 
 // ---------------------------------------------------------------------------

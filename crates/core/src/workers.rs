@@ -41,7 +41,7 @@ unsafe impl Send for JobPtr {}
 /// A raw pointer that may cross thread boundaries.
 ///
 /// Merge phases write disjoint output ranges from several workers; safe
-/// slices cannot express "disjoint by Merge Path bounds", so tasks carry
+/// slices cannot express "disjoint by range prefix sums", so tasks carry
 /// the output base as a `SendPtr` and each task writes only its own range.
 #[derive(Clone, Copy)]
 pub struct SendPtr<T>(*mut T);
@@ -49,7 +49,7 @@ pub struct SendPtr<T>(*mut T);
 // SAFETY: SendPtr is a plain address; sending it to another thread moves
 // no data. All dereferences happen in `unsafe` blocks at the use site,
 // which carry the disjointness argument (each merge task writes only the
-// half-open output range its Merge Path bounds assign to it).
+// half-open output range its range bounds assign to it).
 unsafe impl<T> Send for SendPtr<T> {}
 // SAFETY: sharing the address between threads is sound for the same
 // reason: the pointer itself is immutable data; dereferences are the use

@@ -6,7 +6,7 @@
 //! encode identical 12-byte prefixes for `s`, so `n`'s key bytes decided
 //! the comparison before the truncation tie was detected and the pair
 //! sorted backwards. The fix must hold on every sort path — in-memory
-//! (single- and multi-threaded cascades), spilled, and the
+//! (one merge range and several), spilled, and the
 //! range-partitioned spill merge — with offset-value coding on and off.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
@@ -110,7 +110,7 @@ fn in_memory_paths_match_reference() {
         for threads in [1usize, 4] {
             let options = SortOptions {
                 threads,
-                run_rows: 100, // several runs: exercises the merge cascade
+                run_rows: 100, // several runs; 2 merge ranges at 4 threads
                 ovc,
             };
             let got = SortPipeline::new(chunk.types(), order.clone(), options)
